@@ -2,9 +2,11 @@
 
 All values are in bits (logarithms base 2).  The optimized quantities
 (conditional entropy, mutual information) minimize over the conditioning
-state with a multi-start quasi-Newton descent on the unconstrained
-parametrization sigma = L L† / tr(L L†), L complex lower-triangular, with
-analytic gradients.
+state with a quasi-Newton descent on the unconstrained parametrization
+sigma = L L† / tr(L L†), L complex lower-triangular, with analytic
+gradients.  The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi), so
+the descent stops at the first start (warm start, then rho_B, then seeded
+random ones) whose gradient residual meets ``OptimizerConfig.tol``.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ def alpha_params(alpha: float) -> AlphaParams:
 
 def conjugate_order(alpha: float) -> float:
     return alpha_params(alpha).beta
-
-
-def kappa_of(alpha: float) -> float:
-    if alpha <= 0:
-        raise UsageError(f"kappa requires alpha > 0, got {alpha}")
-    return (1.0 - alpha) / (2.0 * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +175,13 @@ def renyi_entropy(rho: LabeledOperator, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Inner-minimization settings.
+
+    A start is accepted once its gradient residual max|jac| is at most
+    ``tol``; ``starts`` caps how many starts are tried before the best
+    value seen is returned.
+    """
+
     starts: int = 8
     gtol: float = 1e-9
     ftol: float = 1e-13
@@ -200,14 +203,18 @@ class OptimizedValue:
     method: str
 
 
+# objective value reported where sigma(x) or the sandwiched trace degenerates
+_FAILED = 1e6
+
+
 def _tril_indices(d: int):
     re_idx = np.tril_indices(d)
     im_idx = np.tril_indices(d, -1)
     return re_idx, im_idx
 
 
-def _unpack_l(x: np.ndarray, d: int) -> np.ndarray:
-    re_idx, im_idx = _tril_indices(d)
+def _unpack_l(x: np.ndarray, d: int, idx) -> np.ndarray:
+    re_idx, im_idx = idx
     l = np.zeros((d, d), dtype=complex)
     n_re = len(re_idx[0])
     l[re_idx] = x[:n_re]
@@ -215,10 +222,15 @@ def _unpack_l(x: np.ndarray, d: int) -> np.ndarray:
     return l
 
 
-def _pack_l(l: np.ndarray) -> np.ndarray:
-    d = l.shape[0]
-    re_idx, im_idx = _tril_indices(d)
+def _pack_l(l: np.ndarray, idx) -> np.ndarray:
+    re_idx, im_idx = idx
     return np.concatenate([np.real(l[re_idx]), np.imag(l[im_idx])])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b as a broadcast outer product; cheaper per call than np.kron."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def _power_adjoint(u: np.ndarray, lam: np.ndarray, c: float, h: np.ndarray) -> np.ndarray:
@@ -249,25 +261,26 @@ def _divergence_objective(
     conditioning state sigma(x).
     """
     c = (1.0 - alpha) / (2.0 * alpha)
+    idx = _tril_indices(d_b)
     if a_factor is None:
-        ac = None
+        ac = np.eye(d_a)
         ac_full = None
     else:
         ac = fractional_power_matrix(a_factor, c)
-        ac_full = np.kron(ac, np.eye(d_b))
+        ac_full = _kron(ac, np.eye(d_b))
     pref = alpha / (alpha - 1.0) / LN2
 
     def objective(x):
-        l = _unpack_l(x, d_b)
+        l = _unpack_l(x, d_b, idx)
         s = l @ l.conj().T
         trs = float(np.trace(s).real)
         if trs <= 0 or not np.isfinite(trs):
-            return 1e6, np.zeros_like(x)
+            return _FAILED, np.zeros_like(x)
         sigma = s / trs
         lam, u = np.linalg.eigh(sigma)
         lam = np.clip(lam, 1e-30, None)
         sc = (u * lam**c) @ u.conj().T
-        k = np.kron(np.eye(d_a), sc) if ac is None else np.kron(ac, sc)
+        k = _kron(ac, sc)
         m = k @ rho_ab @ k
         mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
         mtop = max(mvals[-1], 0.0)
@@ -275,7 +288,7 @@ def _divergence_objective(
         pos = mvals > clip
         t = float(np.sum(mvals[pos] ** alpha))
         if t <= 0 or not np.isfinite(t):
-            return 1e6, np.zeros_like(x)
+            return _FAILED, np.zeros_like(x)
         f = math.log2(t) / (alpha - 1.0)
         mpow_vals = np.zeros_like(mvals)
         mpow_vals[pos] = mvals[pos] ** (alpha - 1.0)
@@ -287,10 +300,7 @@ def _divergence_objective(
         h_b = (h_b + h_b.conj().T) / 2
         g_sigma = (pref / t) * _power_adjoint(u, lam, c, h_b)
         gs = (g_sigma - float(np.trace(g_sigma @ sigma).real) * np.eye(d_b)) / trs
-        w = gs @ l
-        re_idx, im_idx = _tril_indices(d_b)
-        grad = np.concatenate([2.0 * np.real(w[re_idx]), 2.0 * np.imag(w[im_idx])])
-        return f, grad
+        return f, 2.0 * _pack_l(gs @ l, idx)
 
     return objective
 
@@ -306,10 +316,14 @@ def _min_divergence(
 ) -> tuple[float, np.ndarray, float]:
     """min over sigma_B of D(rho_AB || X_A (x) sigma_B) for alpha != 1.
 
-    ``a_factor`` is X_A (None means the identity).  Returns (value,
-    sigma, gradient-norm residual).
+    ``a_factor`` is X_A (None means the identity).  Starts run in order
+    (warm starts, rho_B, then seeded random ones, ``config.starts`` in
+    all) until one ends with a finite value and a gradient residual of
+    at most ``config.tol``.  Returns (value, sigma, gradient-norm
+    residual) of the best start run.
     """
     objective = _divergence_objective(rho_ab, d_a, d_b, a_factor, alpha)
+    idx = _tril_indices(d_b)
     rng = generator(config.seed)
     starts: list[np.ndarray] = []
     for sigma0 in warm_starts:
@@ -329,7 +343,7 @@ def _min_divergence(
         l0 = np.linalg.cholesky(s0)
         res = scipy.optimize.minimize(
             objective,
-            _pack_l(l0),
+            _pack_l(l0, idx),
             jac=True,
             method="L-BFGS-B",
             options={
@@ -340,9 +354,11 @@ def _min_divergence(
         )
         gnorm = float(np.max(np.abs(res.jac)))
         if res.fun < best[0]:
-            l = _unpack_l(res.x, d_b)
+            l = _unpack_l(res.x, d_b, idx)
             s = l @ l.conj().T
             best = (float(res.fun), s / np.trace(s).real, gnorm)
+        if gnorm <= config.tol and np.isfinite(res.fun) and res.fun != _FAILED:
+            break
     if best[1] is None:
         raise ConvergenceError("all optimizer starts failed", best_value=None, residual=None)
     return best

@@ -53,11 +53,6 @@ def haar_isometry_matrix(rng: np.random.Generator, dim_out: int, dim_in: int) ->
     return q
 
 
-def random_isometry(space_out: SystemSpace, space_in: SystemSpace, seed: int) -> LabeledOperator:
-    rng = generator(seed)
-    return LabeledOperator(space_out, space_in, haar_isometry_matrix(rng, space_out.dim, space_in.dim))
-
-
 def random_unitary_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return haar_isometry_matrix(rng, dim, dim)
 

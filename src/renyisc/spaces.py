@@ -193,12 +193,10 @@ def maximally_mixed(space: SystemSpace) -> LabeledOperator:
 
 def maximally_entangled(rank: int, label_a: str, label_b: str) -> LabeledOperator:
     """Rank-``rank`` maximally entangled state on two fresh systems."""
-    vec = np.eye(rank).reshape(rank * rank) / math.sqrt(rank)
     # |i>|i> has flat index i*rank + i
     psi = np.zeros(rank * rank, dtype=complex)
     for i in range(rank):
         psi[i * rank + i] = 1.0 / math.sqrt(rank)
-    del vec
     space = SystemSpace.of((label_a, rank), (label_b, rank))
     return LabeledOperator.square(space, np.outer(psi, psi.conj()))
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from renyisc import entropies
 from renyisc.entropies import (
     OptimizerConfig,
     _divergence_objective,
+    _kron,
     _pack_l,
+    _tril_indices,
     alpha_params,
     classical_conditional_entropy,
     classical_renyi_entropy,
@@ -177,6 +180,63 @@ def test_conditional_entropy_warm_start_consistent():
     assert_allclose(warm.value, cold.value, atol=1e-8)
 
 
+def _count_minimize_runs(monkeypatch):
+    """Record the final value of every L-BFGS run the optimizer starts."""
+    runs = []
+    real = entropies.scipy.optimize.minimize
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        runs.append(float(res.fun))
+        return res
+
+    monkeypatch.setattr(entropies.scipy.optimize, "minimize", counting)
+    return runs
+
+
+def test_warm_start_at_optimum_needs_one_run(monkeypatch):
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=6)
+    cold = conditional_entropy(rho, ["B"], 0.7, CFG)
+    runs = _count_minimize_runs(monkeypatch)
+    warm = conditional_entropy(rho, ["B"], 0.7, CFG, warm_starts=(cold.optimizer.matrix,))
+    assert len(runs) == 1
+    assert warm.residual <= CFG.tol
+    assert_allclose(warm.value, cold.value, atol=1e-8)
+
+
+def test_unmet_tol_runs_every_start_and_keeps_the_best(monkeypatch):
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 3)), seed=13)
+    runs = _count_minimize_runs(monkeypatch)
+    out = conditional_entropy(rho, ["B"], 1.5, OptimizerConfig(starts=3, tol=0.0))
+    assert len(runs) == 3
+    assert out.value == -min(runs)
+
+
+def test_failure_sentinel_is_never_accepted(monkeypatch):
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=14)
+    expected = conditional_entropy(rho, ["B"], 2.0, CFG)
+    real = entropies._divergence_objective
+
+    def failing_first_start(*args):
+        objective = real(*args)
+        evals = []
+
+        def wrapped(x):
+            evals.append(1)
+            # the first start ends at once: sentinel value, zero gradient
+            return (entropies._FAILED, np.zeros_like(x)) if len(evals) == 1 else objective(x)
+
+        return wrapped
+
+    monkeypatch.setattr(entropies, "_divergence_objective", failing_first_start)
+    runs = _count_minimize_runs(monkeypatch)
+    out = conditional_entropy(rho, ["B"], 2.0, CFG)
+    assert runs[0] == entropies._FAILED
+    assert len(runs) == 2
+    assert out.residual <= CFG.tol
+    assert_allclose(out.value, expected.value, atol=1e-9)
+
+
 def test_mutual_information_mes():
     mes = maximally_entangled(2, "A", "B")
     for a in (1.0, 2.0):
@@ -205,7 +265,7 @@ def test_optimizer_gradient_matches_finite_differences():
     for alpha in (0.6, 0.75, 1.5, 2.0):
         obj = _divergence_objective(rho, 2, 2, None, alpha)
         g0 = np.tril(rng.normal(size=(2, 2))) + 1j * np.tril(rng.normal(size=(2, 2)), -1)
-        x0 = _pack_l(np.linalg.cholesky(g0 @ g0.conj().T + np.eye(2)))
+        x0 = _pack_l(np.linalg.cholesky(g0 @ g0.conj().T + np.eye(2)), _tril_indices(2))
         _, grad = obj(x0)
         eps = 1e-6
         for i in range(len(x0)):
@@ -216,12 +276,19 @@ def test_optimizer_gradient_matches_finite_differences():
             assert abs(fd - grad[i]) < 1e-5, (alpha, i, fd, grad[i])
 
 
+def test_kron_matches_numpy():
+    rng = generator(15)
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for a in (np.eye(2), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))):
+        assert np.array_equal(_kron(a, b), np.kron(a, b))
+
+
 def test_optimizer_gradient_mutual_variant():
     rng = generator(10)
     rho = random_state_matrix(rng, 4)
     rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
     obj = _divergence_objective(rho, 2, 2, rho_a, 0.8)
-    x0 = _pack_l(np.linalg.cholesky(np.diag([0.6, 0.4]).astype(complex)))
+    x0 = _pack_l(np.linalg.cholesky(np.diag([0.6, 0.4]).astype(complex)), _tril_indices(2))
     _, grad = obj(x0)
     eps = 1e-6
     for i in range(len(x0)):
