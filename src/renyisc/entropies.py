@@ -18,13 +18,12 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ConvergenceError, DimensionMismatchError, UsageError
-from .linalg import fractional_power_matrix, schatten_norm
+from .linalg import SUPPORT_TOL, fractional_power_matrix, schatten_norm, spectral_power, spectrum
 from .random_ensembles import generator, ginibre
 from .spaces import LabeledOperator, partial_trace, permute_systems
 
 LN2 = math.log(2.0)
 ALPHA_ONE_BAND = 1e-6
-SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,28 +56,18 @@ def conjugate_order(alpha: float) -> float:
 # divergences
 
 
-def _eigvals_clipped(m: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return np.clip(vals, 0.0, None)
-
-
 def quantum_relative_entropy_matrix(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D(rho||sigma) = tr rho (log2 rho - log2 sigma), +inf off-support."""
-    rvals, rvecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    svals, svecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    rvals = np.clip(rvals, 0.0, None)
-    svals = np.clip(svals, 0.0, None)
-    stop = max(svals[-1], 0.0)
-    term1 = float(np.sum(rvals[rvals > 0] * np.log2(rvals[rvals > 0])))
+    svals, svecs, _ = spectrum(sigma)
     # weights of rho on sigma's eigenvectors
     w = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho, svecs))
     w = np.clip(w, 0.0, None)
-    zero = svals <= SUPPORT_TOL * max(stop, 1.0)
+    zero = svals <= SUPPORT_TOL * max(svals[-1], 1.0)
     if np.sum(w[zero]) > SUPPORT_TOL:
         return math.inf
     mask = (~zero) & (w > 0)
     term2 = float(np.sum(w[mask] * np.log2(svals[mask])))
-    return term1 - term2
+    return -von_neumann_entropy_matrix(rho) - term2
 
 
 def sandwiched_divergence_matrix(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
@@ -91,39 +80,31 @@ def sandwiched_divergence_matrix(rho: np.ndarray, sigma: np.ndarray, alpha: floa
     if rho.shape != sigma.shape:
         raise DimensionMismatchError("divergence arguments live on different spaces")
     if alpha == 0.0:
-        proj = _support_projector(rho)
-        overlap = float(np.trace(proj @ sigma).real)
+        _, rvecs, support = spectrum(rho)
+        v = rvecs[:, support]
+        overlap = float(np.trace(v.conj().T @ sigma @ v).real)
         if overlap <= 0:
             return math.inf
         return -math.log2(overlap)
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
         return quantum_relative_entropy_matrix(rho, sigma)
     c = (1.0 - alpha) / (2.0 * alpha)
+    sspec = spectrum(sigma)
     if alpha > 1.0:
         # support condition: supp rho within supp sigma
-        svals, svecs = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        stop = max(svals[-1], 0.0)
-        kernel = svals <= SUPPORT_TOL * max(stop, 1.0)
+        svals, svecs, _ = sspec
+        kernel = svals <= SUPPORT_TOL * max(svals[-1], 1.0)
         if np.any(kernel):
             pk = svecs[:, kernel]
             leak = float(np.real(np.trace(pk.conj().T @ rho @ pk)))
             if leak > SUPPORT_TOL:
                 return math.inf
-    k = fractional_power_matrix(sigma, c)
-    m = k @ rho @ k
-    vals = _eigvals_clipped(m)
-    t = float(np.sum(vals[vals > 0] ** alpha))
+    k = spectral_power(sspec, c)
+    vals, _, support = spectrum(k @ rho @ k, vectors=False)
+    t = float(np.sum(vals[support] ** alpha))
     if t <= 0:
         return math.inf
     return math.log2(t) / (alpha - 1.0)
-
-
-def _support_projector(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    top = max(vals[-1], 0.0)
-    keep = vals > 1e-12 * max(top, 1.0)
-    v = vecs[:, keep]
-    return v @ v.conj().T
 
 
 def sandwiched_divergence(rho: LabeledOperator, sigma: LabeledOperator, alpha: float) -> float:
@@ -141,8 +122,8 @@ def quantum_relative_entropy(rho: LabeledOperator, sigma: LabeledOperator) -> fl
 
 
 def von_neumann_entropy_matrix(rho: np.ndarray) -> float:
-    vals = _eigvals_clipped(np.asarray(rho, dtype=complex))
-    vals = vals[vals > 0]
+    vals, _, support = spectrum(rho, vectors=False)
+    vals = vals[support]
     return float(-np.sum(vals * np.log2(vals)))
 
 
@@ -155,14 +136,13 @@ def renyi_entropy_matrix(rho: np.ndarray, alpha: float) -> float:
     alpha = float(alpha)
     if alpha < 0:
         raise UsageError(f"alpha must be >= 0, got {alpha}")
-    vals = _eigvals_clipped(np.asarray(rho, dtype=complex))
-    top = max(vals[-1], 0.0)
-    support = vals[vals > 1e-12 * max(top, 1.0)]
+    vals, _, support = spectrum(rho, vectors=False)
+    vals = vals[support]
     if alpha == 0.0:
-        return math.log2(len(support))
+        return math.log2(len(vals))
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        return float(-np.sum(support * np.log2(support)))
-    return float(math.log2(np.sum(support**alpha)) / (1.0 - alpha))
+        return float(-np.sum(vals * np.log2(vals)))
+    return float(math.log2(np.sum(vals**alpha)) / (1.0 - alpha))
 
 
 def renyi_entropy(rho: LabeledOperator, alpha: float) -> float:
@@ -320,7 +300,8 @@ def _min_divergence(
     (warm starts, rho_B, then seeded random ones, ``config.starts`` in
     all) until one ends with a finite value and a gradient residual of
     at most ``config.tol``.  Returns (value, sigma, gradient-norm
-    residual) of the best start run.
+    residual) of that start, or of the lowest-value start when none
+    converges.
     """
     objective = _divergence_objective(rho_ab, d_a, d_b, a_factor, alpha)
     idx = _tril_indices(d_b)
@@ -353,11 +334,12 @@ def _min_divergence(
             },
         )
         gnorm = float(np.max(np.abs(res.jac)))
-        if res.fun < best[0]:
+        converged = gnorm <= config.tol and np.isfinite(res.fun) and res.fun != _FAILED
+        if converged or res.fun < best[0]:
             l = _unpack_l(res.x, d_b, idx)
             s = l @ l.conj().T
             best = (float(res.fun), s / np.trace(s).real, gnorm)
-        if gnorm <= config.tol and np.isfinite(res.fun) and res.fun != _FAILED:
+        if converged:
             break
     if best[1] is None:
         raise ConvergenceError("all optimizer starts failed", best_value=None, residual=None)

@@ -118,11 +118,18 @@ def _cq(rng, space: SystemSpace, classical_label: str) -> LabeledOperator:
     return permute_systems(op, space.labels)
 
 
-def _random_channel(rng, space_in: SystemSpace, dim_out: int, out_label: str,
-                    env_dim: int = 2) -> ChannelSpec:
-    v = haar_isometry_matrix(rng, dim_out * env_dim, space_in.dim)
-    space_out = SystemSpace.of((out_label, dim_out), ("Ech", env_dim))
-    return ChannelSpec(LabeledOperator(space_out, space_in, v), frozenset({"Ech"}))
+def _random_channel(rng, space_in: SystemSpace, outputs, env_label: str) -> ChannelSpec:
+    """Haar-random Stinespring channel from ``space_in`` onto ``outputs``.
+
+    The environment ``env_label`` starts at dimension 2 and doubles until
+    the isometry fits.
+    """
+    env = 2
+    while math.prod(d for _, d in outputs) * env < space_in.dim:
+        env *= 2
+    space_out = SystemSpace(tuple(outputs) + ((env_label, env),))
+    v = haar_isometry_matrix(rng, space_out.dim, space_in.dim)
+    return ChannelSpec(LabeledOperator(space_out, space_in, v), frozenset({env_label}))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +240,7 @@ def _suite_dpi(rng, dims, cfg):
     d_a, d_b = dims[0], dims[1]
     space = SystemSpace.of(("A", d_a), ("B", d_b))
     rho, sigma = _state(rng, space), _state(rng, space)
-    ch = _random_channel(rng, SystemSpace.of(("B", d_b)), d_b, "B")
+    ch = _random_channel(rng, SystemSpace.of(("B", d_b)), [("B", d_b)], "Ech")
     rho2, sigma2 = apply_channels([ch], rho), apply_channels([ch], sigma)
     for a in (0.6, 1.0, 2.0):
         pre = sandwiched_divergence(rho, sigma, a)
@@ -294,10 +301,9 @@ def _constrained_pair(rng, d_a: int, d_b: int):
 
     rho_a = LabeledOperator.square(SystemSpace.of(("A", d_a)), random_state_matrix(rng, d_a))
     psi = purify(rho_a, "R")
-    d_r = psi.space.dim_of("R")
     out = []
     for _ in range(2):
-        ch = _random_channel(rng, psi.space.restrict({"R"}), d_b, "B")
+        ch = _random_channel(rng, psi.space.restrict({"R"}), [("B", d_b)], "Ech")
         out.append(apply_channels([ch], psi))
     return out[0], out[1]
 
@@ -597,23 +603,9 @@ def _random_redistribution_instance(rng, dims=(2, 2, 2), seed: int = 0):
     m = 1
     q = int(rng.integers(1, d_a * k + 1))
     enc_in = SystemSpace.of(("A", d_a), ("C", d_c), ("TA", k))
-    enc_out = SystemSpace.of(("Cp", d_c), ("TAp", m), ("Q", q), ("E1", 2))
-    tries = 0
-    while enc_out.dim < enc_in.dim:
-        enc_out = SystemSpace.of(("Cp", d_c), ("TAp", m), ("Q", q), ("E1", enc_out.dim_of("E1") * 2))
-        tries += 1
-    enc = ChannelSpec(
-        LabeledOperator(enc_out, enc_in, haar_isometry_matrix(rng, enc_out.dim, enc_in.dim)),
-        frozenset({"E1"}),
-    )
+    enc = _random_channel(rng, enc_in, [("Cp", d_c), ("TAp", m), ("Q", q)], "E1")
     dec_in = SystemSpace.of(("Q", q), ("B", d_b), ("TB", k))
-    dec_out = SystemSpace.of(("TBp", m), ("Ap", d_a), ("Bp", d_b), ("E2", 2))
-    while dec_out.dim < dec_in.dim:
-        dec_out = SystemSpace.of(("TBp", m), ("Ap", d_a), ("Bp", d_b), ("E2", dec_out.dim_of("E2") * 2))
-    dec = ChannelSpec(
-        LabeledOperator(dec_out, dec_in, haar_isometry_matrix(rng, dec_out.dim, dec_in.dim)),
-        frozenset({"E2"}),
-    )
+    dec = _random_channel(rng, dec_in, [("TBp", m), ("Ap", d_a), ("Bp", d_b)], "E2")
     return ProtocolInstance(
         REDISTRIBUTION, rho, registers={"k": k, "m": m, "q": q}, encoders=[enc], decoders=[dec]
     )
@@ -628,7 +620,6 @@ def check_protocol_bounds(
 ) -> SuiteReport:
     """Random instances of one protocol kind against all its bounds."""
     from . import bounds as bnd
-    from . import protocols as prot
 
     alphas = tuple(np.linspace(0.51, 0.99, 25) if alphas is None else alphas)
     start = time.time()
@@ -715,25 +706,11 @@ def _random_instance_and_bound_inputs(kind: str, rng, seed: int):
 def _merging_instance(rng, rho, q: int, m: int):
     from . import protocols as prot
 
-    enc_in = SystemSpace.of(("A", rho.space.dim_of("A")), ("C", 1), ("TA", 1))
-    enc_out = SystemSpace.of(("Cp", 1), ("TAp", m), ("Q", q), ("E1", 2))
-    while enc_out.dim < enc_in.dim:
-        enc_out = SystemSpace.of(("Cp", 1), ("TAp", m), ("Q", q), ("E1", enc_out.dim_of("E1") * 2))
-    enc = ChannelSpec(
-        LabeledOperator(enc_out, enc_in, haar_isometry_matrix(rng, enc_out.dim, enc_in.dim)),
-        frozenset({"E1"}),
-    )
-    d_b = rho.space.dim_of("B")
+    d_a, d_b = rho.space.dim_of("A"), rho.space.dim_of("B")
+    enc_in = SystemSpace.of(("A", d_a), ("C", 1), ("TA", 1))
+    enc = _random_channel(rng, enc_in, [("Cp", 1), ("TAp", m), ("Q", q)], "E1")
     dec_in = SystemSpace.of(("Q", q), ("B", d_b), ("TB", 1))
-    dec_out = SystemSpace.of(("TBp", m), ("Ap", rho.space.dim_of("A")), ("Bp", d_b), ("E2", 2))
-    while dec_out.dim < dec_in.dim:
-        dec_out = SystemSpace.of(
-            ("TBp", m), ("Ap", rho.space.dim_of("A")), ("Bp", d_b), ("E2", dec_out.dim_of("E2") * 2)
-        )
-    dec = ChannelSpec(
-        LabeledOperator(dec_out, dec_in, haar_isometry_matrix(rng, dec_out.dim, dec_in.dim)),
-        frozenset({"E2"}),
-    )
+    dec = _random_channel(rng, dec_in, [("TBp", m), ("Ap", d_a), ("Bp", d_b)], "E2")
     return prot.specialize(
         prot.MERGING, rho, {"k": 1, "m": m, "q": q}, encoders=[enc], decoders=[dec]
     )
@@ -744,21 +721,9 @@ def _splitting_instance(rng, rho, q: int, k: int):
 
     d_a, d_c = rho.space.dim_of("A"), rho.space.dim_of("C")
     enc_in = SystemSpace.of(("A", d_a), ("C", d_c), ("TA", k))
-    enc_out = SystemSpace.of(("Cp", d_c), ("TAp", 1), ("Q", q), ("E1", 2))
-    while enc_out.dim < enc_in.dim:
-        enc_out = SystemSpace.of(("Cp", d_c), ("TAp", 1), ("Q", q), ("E1", enc_out.dim_of("E1") * 2))
-    enc = ChannelSpec(
-        LabeledOperator(enc_out, enc_in, haar_isometry_matrix(rng, enc_out.dim, enc_in.dim)),
-        frozenset({"E1"}),
-    )
+    enc = _random_channel(rng, enc_in, [("Cp", d_c), ("TAp", 1), ("Q", q)], "E1")
     dec_in = SystemSpace.of(("Q", q), ("B", 1), ("TB", k))
-    dec_out = SystemSpace.of(("TBp", 1), ("Ap", d_a), ("Bp", 1), ("E2", 2))
-    while dec_out.dim < dec_in.dim:
-        dec_out = SystemSpace.of(("TBp", 1), ("Ap", d_a), ("Bp", 1), ("E2", dec_out.dim_of("E2") * 2))
-    dec = ChannelSpec(
-        LabeledOperator(dec_out, dec_in, haar_isometry_matrix(rng, dec_out.dim, dec_in.dim)),
-        frozenset({"E2"}),
-    )
+    dec = _random_channel(rng, dec_in, [("TBp", 1), ("Ap", d_a), ("Bp", 1)], "E2")
     return prot.specialize(
         prot.SPLITTING, rho, {"k": k, "m": 1, "q": q}, encoders=[enc], decoders=[dec]
     )
@@ -834,18 +799,7 @@ def random_feedback_instance(rng, rounds: int = 2, dims=(2, 2, 2)):
             keep = [("Cp", d_c), ("TAp", m)]
         else:
             keep = [(f"A{i}", d_a), (f"C{i}", d_c)]
-        out_subs = keep + [(f"Q{i}", q)]
-        env = 2
-        enc_out = SystemSpace(tuple(out_subs + [(f"Ea{i}", env)]))
-        while enc_out.dim < enc_in.dim:
-            env *= 2
-            enc_out = SystemSpace(tuple(out_subs + [(f"Ea{i}", env)]))
-        encoders.append(
-            ChannelSpec(
-                LabeledOperator(enc_out, enc_in, haar_isometry_matrix(rng, enc_out.dim, enc_in.dim)),
-                frozenset({f"Ea{i}"}),
-            )
-        )
+        encoders.append(_random_channel(rng, enc_in, keep + [(f"Q{i}", q)], f"Ea{i}"))
         alice = keep.copy()
         dec_in = SystemSpace(tuple(bob + [(f"Q{i}", q)]))
         if last:
@@ -856,17 +810,7 @@ def random_feedback_instance(rng, rounds: int = 2, dims=(2, 2, 2)):
             keep_b = [(f"B{i}", d_b)]
             out_subs = keep_b + [(f"Qb{i}", qb)]
             alice.append((f"Qb{i}", qb))
-        env = 2
-        dec_out = SystemSpace(tuple(out_subs + [(f"Eb{i}", env)]))
-        while dec_out.dim < dec_in.dim:
-            env *= 2
-            dec_out = SystemSpace(tuple(out_subs + [(f"Eb{i}", env)]))
-        decoders.append(
-            ChannelSpec(
-                LabeledOperator(dec_out, dec_in, haar_isometry_matrix(rng, dec_out.dim, dec_in.dim)),
-                frozenset({f"Eb{i}"}),
-            )
-        )
+        decoders.append(_random_channel(rng, dec_in, out_subs, f"Eb{i}"))
         bob = keep_b.copy()
     return prot.ProtocolInstance(
         prot.FEEDBACK,

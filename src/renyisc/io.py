@@ -14,7 +14,7 @@ import numpy as np
 from .channels import ChannelSpec
 from .errors import UsageError
 from .protocols import KINDS, ProtocolInstance
-from .spaces import LabeledOperator, SystemSpace
+from .spaces import LabeledOperator, SystemSpace, density_operator
 
 
 def _fmt(x: float) -> str:
@@ -61,7 +61,10 @@ def state_from_dict(d: dict, where: str = "state") -> LabeledOperator:
         raise UsageError(
             f"malformed {where}: matrix shape {m.shape} does not match dimension {space.dim}"
         )
-    return LabeledOperator.square(space, m)
+    try:
+        return density_operator(space, m)
+    except UsageError as exc:
+        raise UsageError(f"malformed {where}: {exc}") from None
 
 
 def channel_to_dict(ch: ChannelSpec) -> dict:

@@ -7,36 +7,59 @@ import numpy as np
 from .errors import DimensionMismatchError, NotPositiveSemidefiniteError, UsageError
 from .spaces import LabeledOperator, SystemSpace
 
+# eigenvalues at or below CLIP_REL times the largest are exact zeros
 CLIP_REL = 1e-12
+# a lowest eigenvalue below -PSD_REL * max(top, 1) is an error, not rounding
 PSD_REL = 1e-8
+# kernel threshold (relative to max(top, 1)) and allowed weight of rho there
+# for the support condition supp rho within supp sigma
+SUPPORT_TOL = 1e-9
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def fractional_power_matrix(m: np.ndarray, p: float, clip_rel: float = CLIP_REL) -> np.ndarray:
-    """m**p for a Hermitian PSD matrix, on the support only.
+def spectrum(m: np.ndarray, vectors: bool = True):
+    """(vals, vecs, support) of a Hermitian PSD matrix.
 
-    Eigenvalues below ``clip_rel`` times the largest are treated as exact
-    zeros; negative ``p`` is applied on the support, zeros map to zero.
+    ``vals`` ascend and are clipped at 0; ``vecs`` is None unless
+    ``vectors``; ``support`` marks the eigenvalues above ``CLIP_REL`` times
+    the largest.  Raises NotPositiveSemidefiniteError on an eigenvalue below
+    ``-PSD_REL * max(top, 1)``.
     """
     m = _herm(np.asarray(m, dtype=complex))
-    vals, vecs = np.linalg.eigh(m)
+    if vectors:
+        vals, vecs = np.linalg.eigh(m)
+    else:
+        vals, vecs = np.linalg.eigvalsh(m), None
     top = max(vals[-1], 0.0)
     if vals[0] < -PSD_REL * max(top, 1.0):
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {vals[0]} below PSD tolerance"
         )
     vals = np.clip(vals, 0.0, None)
-    zero = vals <= clip_rel * top
+    return vals, vecs, vals > CLIP_REL * top
+
+
+def spectral_power(spec, p: float) -> np.ndarray:
+    """m**p from ``spectrum(m)``, on the support only (zeros map to zero)."""
+    vals, vecs, support = spec
     powered = np.zeros_like(vals)
-    np.power(vals, p, out=powered, where=~zero)
+    np.power(vals, p, out=powered, where=support)
     return (vecs * powered) @ vecs.conj().T
 
 
-def fractional_power(op: LabeledOperator, p: float, clip_rel: float = CLIP_REL) -> LabeledOperator:
-    return LabeledOperator.square(op.space, fractional_power_matrix(op.matrix, p, clip_rel))
+def fractional_power_matrix(m: np.ndarray, p: float) -> np.ndarray:
+    """m**p for a Hermitian PSD matrix, on the support only.
+
+    Negative ``p`` is applied on the support; the kernel stays the kernel.
+    """
+    return spectral_power(spectrum(m), p)
+
+
+def fractional_power(op: LabeledOperator, p: float) -> LabeledOperator:
+    return LabeledOperator.square(op.space, fractional_power_matrix(op.matrix, p))
 
 
 def schatten_norm(m, p: float) -> float:
@@ -97,12 +120,8 @@ def purify(rho: LabeledOperator, ref_label: str = "R") -> LabeledOperator:
     space = rho.space
     if space.has(ref_label):
         raise UsageError(f"label {ref_label!r} already present")
-    vals, vecs = np.linalg.eigh(_herm(rho.matrix))
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    top = max(vals[0], 0.0)
-    support = vals > CLIP_REL * top
-    vals, vecs = np.clip(vals[support], 0.0, None), _phase_fix(vecs[:, support])
+    vals, vecs, support = spectrum(rho.matrix)
+    vals, vecs = vals[support][::-1], _phase_fix(vecs[:, support][:, ::-1])
     r = int(vals.size)
     d = space.dim
     psi = (vecs * np.sqrt(vals)).reshape(d * r)

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .channels import ChannelSpec, apply_channels, measurement_channel
 from .errors import BudgetExceededError, UsageError
-from .linalg import fidelity, fractional_power_matrix, purify
+from .entropies import conditional_entropy
+from .linalg import fidelity, fractional_power_matrix, purify, spectrum
 from .spaces import (
     LabeledOperator,
     SystemSpace,
@@ -92,8 +92,7 @@ def _check_purified_budget(state: LabeledOperator, extra: int):
     The purification lives on dim * rank; forming its matrix squares that,
     so the check must run before the allocation, not after.
     """
-    evals = np.linalg.eigvalsh(state.matrix)
-    rank = max(int(np.sum(evals > 1e-12 * max(evals[-1], 0.0))), 1)
+    rank = max(int(np.sum(spectrum(state.matrix, vectors=False)[2])), 1)
     _check_budget(state.space.dim * rank * extra)
 
 
@@ -172,15 +171,30 @@ def _redistribution_target(psi: LabeledOperator, m: int) -> LabeledOperator:
     return target.tensor(mes)
 
 
-def _merit_against(final: LabeledOperator, target: LabeledOperator) -> float:
+def _aligned(final: LabeledOperator, target: LabeledOperator) -> LabeledOperator:
+    """``final`` in the system order of ``target``; their labels must agree."""
     if set(final.space.labels) != set(target.space.labels):
         raise UsageError(
             f"final labels {final.space.labels} do not match target {target.space.labels}"
         )
-    order = list(target.space.labels)
-    f = min(max(fidelity(permute_systems(final, order), target), 0.0), 1.0)
-    # a perfect protocol must score exactly 1; absorb SVD rounding noise
+    return permute_systems(final, list(target.space.labels))
+
+
+def _snap(f: float) -> float:
+    f = min(max(f, 0.0), 1.0)
+    # a perfect protocol must score exactly 1; absorb rounding noise
     return 1.0 if f > 1.0 - 1e-12 else f
+
+
+def _merit_against(final: LabeledOperator, target: LabeledOperator) -> float:
+    """F(final, target) for a mixed target."""
+    return _snap(fidelity(_aligned(final, target), target))
+
+
+def _merit_against_pure(final: LabeledOperator, target: LabeledOperator) -> float:
+    """F(final, target) = sqrt tr(final target) for a pure target."""
+    overlap = float(np.vdot(target.matrix, _aligned(final, target).matrix).real)
+    return _snap(math.sqrt(max(overlap, 0.0)))
 
 
 def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
@@ -199,8 +213,7 @@ def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
     for ch in inst.decoders:
         _check_wiring(ch, {"Q", "B", "TB"}, state)
         state = _apply(ch, state)
-    target = _redistribution_target(psi, m)
-    merit = _merit_against(state, target)
+    merit = _merit_against_pure(state, _redistribution_target(psi, m))
     n = inst.copies
     costs = {"q": _log2_int(q) / n, "e": (_log2_int(k) - _log2_int(m)) / n}
     if inst.kind == MERGING:
@@ -289,8 +302,7 @@ def run_feedback_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
     for i in range(rounds):
         state = _apply(inst.encoders[i], state)
         state = _apply(inst.decoders[i], state)
-    target = _redistribution_target(psi, m)
-    merit = _merit_against(state, target)
+    merit = _merit_against_pure(state, _redistribution_target(psi, m))
     n = inst.copies
     q_fw = sum(_log2_int(x) for x in forward) / n
     q_tot = q_fw + sum(_log2_int(x) for x in backward) / n
@@ -397,43 +409,25 @@ def run_randomness_extraction(inst: ProtocolInstance) -> ProtocolOutcome:
     db = states[0].shape[0]
     _check_budget(z_size * db**n)
     blocks = _cq_blocks_from_table(p, states, inst.e_table, n, z_per_copy, z_size)
-    omega_b = np.sum(blocks, axis=0)
-    f_prime = _block_fidelity(blocks, omega_b)
-    merit = _maximize_block_fidelity(blocks, omega_b) if db**n > 1 else f_prime
-    merit = max(merit, f_prime)
-    upper = math.sqrt(max(f_prime, 0.0))
-    if merit > upper + 1e-8:
-        raise UsageError("merit escaped its fidelity bracket; optimizer defect")
-    merit = min(merit, upper, 1.0)
     space = SystemSpace.of(("Z", z_size), ("Bn", db**n))
     m = np.zeros((z_size * db**n,) * 2, dtype=complex)
     for z, w in enumerate(blocks):
         m[z * db**n : (z + 1) * db**n, z * db**n : (z + 1) * db**n] = w
     final = LabeledOperator.square(space, m)
+    f_prime = _block_fidelity(blocks, np.sum(blocks, axis=0))
+    if db**n > 1:
+        # max over sigma of F(omega_ZB, pi_Z (x) sigma) = 2^{S~_1/2(Z|B)/2} / sqrt|Z|
+        # (Konig-Renner-Schaffner)
+        merit = 2 ** (conditional_entropy(final, ["Bn"], 0.5).value / 2) / math.sqrt(z_size)
+    else:
+        merit = f_prime
+    merit = max(merit, f_prime)
+    upper = math.sqrt(max(f_prime, 0.0))
+    if merit > upper + 1e-8:
+        raise UsageError("merit escaped its fidelity bracket; optimizer defect")
+    merit = min(merit, upper, 1.0)
     costs = {"l": _log2_int(z_size) / n}
     return ProtocolOutcome(final, merit, costs)
-
-
-def _maximize_block_fidelity(blocks, sigma0: np.ndarray) -> float:
-    """Numerically maximize F over sigma, starting from the B marginal."""
-    d = sigma0.shape[0]
-    if d == 1:
-        return _block_fidelity(blocks, np.eye(1))
-
-    def negf(x):
-        l = np.tril(x[: d * d].reshape(d, d)) + 1j * np.tril(x[d * d :].reshape(d, d), -1)
-        s = l @ l.conj().T
-        tr = float(np.trace(s).real)
-        if tr <= 0:
-            return 1.0
-        return -_block_fidelity(blocks, s / tr)
-
-    s0 = (sigma0 + sigma0.conj().T) / 2 + 1e-9 * np.eye(d)
-    s0 /= np.trace(s0).real
-    l0 = np.linalg.cholesky(s0)
-    x0 = np.concatenate([np.real(l0).reshape(-1), np.imag(l0).reshape(-1)])
-    res = scipy.optimize.minimize(negf, x0, method="L-BFGS-B", options={"maxiter": 2000})
-    return float(-res.fun)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,23 @@ def test_entropy_missing_file_exits_2(capsys):
     assert "/no/such/file.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "diag, cause", [([1.5, -0.5], "negative eigenvalue"), ([0.6, 0.6], "trace")]
+)
+def test_entropy_invalid_state_file_exits_2(tmp_path, capsys, diag, cause):
+    from renyisc.spaces import LabeledOperator
+
+    path = tmp_path / "bad_state.json"
+    rio.save_state(
+        str(path), LabeledOperator.square(SystemSpace.of(("A", 2)), np.diag(diag).astype(complex))
+    )
+    assert main(["entropy", "--input", str(path), "--alpha", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert cause in captured.err
+
+
 def test_unknown_flag_exits_2(mm2, capsys):
     assert main(["entropy", "--input", mm2, "--alpha", "2", "--bogus"]) == 2
 

@@ -237,6 +237,27 @@ def test_failure_sentinel_is_never_accepted(monkeypatch):
     assert_allclose(out.value, expected.value, atol=1e-9)
 
 
+def test_converged_start_reports_its_own_residual(monkeypatch):
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=15)
+    real = entropies.scipy.optimize.minimize
+    runs = []
+
+    def first_start_unconverged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if not runs:
+            # lower than the optimum, but with a residual above tol
+            res.fun = res.fun - 1e-9
+            res.jac = np.full_like(res.jac, 10 * CFG.tol)
+        runs.append(float(res.fun))
+        return res
+
+    monkeypatch.setattr(entropies.scipy.optimize, "minimize", first_start_unconverged)
+    out = conditional_entropy(rho, ["B"], 2.0, CFG)
+    assert len(runs) == 2
+    assert out.residual <= CFG.tol
+    assert out.value == -runs[1]
+
+
 def test_mutual_information_mes():
     mes = maximally_entangled(2, "A", "B")
     for a in (1.0, 2.0):

@@ -20,6 +20,12 @@ def test_unknown_suite_rejected():
         run_inequality_suite("no-such-suite", 1)
 
 
+def test_random_channel_pads_environment_for_large_input():
+    # a purifier of dimension 5 into B of dimension 2 needs an environment of 4
+    report = run_inequality_suite("fidelity-bounds", 1, dims=(5, 2))
+    assert report.passed
+
+
 def test_all_suites_registered():
     expected = {
         "holder",

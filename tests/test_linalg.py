@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from renyisc.linalg import (
     fractional_power_matrix,
     purify,
     schatten_norm,
+    spectrum,
     trace_norm,
 )
 from renyisc.spaces import LabeledOperator, SystemSpace, partial_trace
@@ -129,3 +133,70 @@ def test_fidelity_labeled_operators():
     rho = LabeledOperator.square(space, _rand_state(rng, 4))
     sigma = LabeledOperator.square(space, _rand_state(rng, 4))
     assert 0.0 < fidelity(rho, sigma) < 1.0
+
+
+def test_spectrum_clips_and_marks_support():
+    m = np.diag([2.0, -1e-13, 1e-13]).astype(complex)
+    vals, vecs, support = spectrum(m)
+    assert_allclose(vals, [0.0, 1e-13, 2.0], atol=0)
+    assert support.tolist() == [False, False, True]
+    assert_allclose((vecs * vals) @ vecs.conj().T, np.diag([2.0, 0.0, 1e-13]), atol=1e-15)
+    vals2, vecs2, support2 = spectrum(m, vectors=False)
+    assert vecs2 is None
+    assert_allclose(vals2, vals, atol=0)
+    assert (support2 == support).all()
+
+
+def test_spectrum_hermitizes():
+    m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    assert_allclose(spectrum(m)[0], [0.5, 1.5], atol=1e-12)
+
+
+def test_spectrum_rejects_negative_eigenvalue():
+    with pytest.raises(NotPositiveSemidefiniteError):
+        spectrum(np.diag([1.0, -1e-6]).astype(complex), vectors=False)
+
+
+def test_purify_rejects_non_psd():
+    rho = LabeledOperator.square(SystemSpace.of(("A", 2)), np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(NotPositiveSemidefiniteError):
+        purify(rho)
+
+
+# every eigendecomposition in the package goes through linalg.spectrum, except
+# the optimizer's hot loop and spaces (which linalg imports)
+EIG_ALLOWED = {
+    ("linalg", "spectrum"),
+    ("entropies", "_divergence_objective"),
+    ("spaces", "min_eigenvalue"),
+}
+
+
+def _eig_sites(path: Path):
+    """(module, outermost function) of every eigh/eigvalsh use in a file."""
+    names = {"eigh", "eigvalsh"}
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            hit = (
+                (isinstance(child, ast.Attribute) and child.attr in names)
+                or (isinstance(child, ast.Name) and child.id in names)
+                or (isinstance(child, ast.alias) and child.name in names)
+            )
+            if hit:
+                sites.append((path.stem, inner))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_eigendecompositions_go_through_spectrum():
+    src = Path(__file__).resolve().parent.parent / "src" / "renyisc"
+    sites = [site for path in sorted(src.glob("*.py")) for site in _eig_sites(path)]
+    assert ("linalg", "spectrum") in sites
+    assert set(sites) <= EIG_ALLOWED, sorted(set(sites) - EIG_ALLOWED)

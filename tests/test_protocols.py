@@ -25,8 +25,13 @@ from renyisc.protocols import (
     specialize,
     uniform_shared_randomness,
 )
-from renyisc.random_ensembles import generator, random_cq_state, random_state
-from renyisc.spaces import LabeledOperator, SystemSpace, partial_trace
+from renyisc.random_ensembles import (
+    generator,
+    random_classical_state,
+    random_cq_state,
+    random_state,
+)
+from renyisc.spaces import LabeledOperator, SystemSpace, partial_trace, permute_systems
 
 
 def _identity_redistribution(seed=0, q=2):
@@ -71,6 +76,20 @@ def test_redistribution_merit_drops_under_noise():
         decoders=[noisy_dec],
     )
     assert run_redistribution(noisy).merit < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_redistribution_pure_target_merit_matches_fidelity(seed):
+    from renyisc.harness import _random_redistribution_instance
+    from renyisc.linalg import fidelity, purify
+    from renyisc.protocols import _redistribution_target
+
+    inst = _random_redistribution_instance(generator(seed))
+    out = run_redistribution(inst)
+    target = _redistribution_target(purify(inst.input_state, "R"), inst.registers["m"])
+    final = permute_systems(out.final_state, list(target.space.labels))
+    assert 0.0 < out.merit < 1.0
+    assert_allclose(out.merit, fidelity(final, target), atol=1e-12)
 
 
 def test_specialize_merging_pads_c():
@@ -174,6 +193,21 @@ def test_randomness_extraction_biased_bit_closed_form():
     )
     out = run_randomness_extraction(inst)
     assert_allclose(out.merit, (math.sqrt(p) + math.sqrt(1 - p)) / math.sqrt(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("z", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_randomness_extraction_merit_classical_closed_form(d_b, z, seed):
+    # classical side information: max over sigma of F(omega_ZB, pi_Z (x) sigma) is
+    # sqrt(sum_b (sum_z sqrt p(z,b))^2) / sqrt|Z| by Cauchy-Schwarz
+    rho = random_classical_state(z, d_b, seed)
+    inst = ProtocolInstance(
+        RANDOMNESS_EXTRACTION, rho, registers={"z": z}, e_table={str(x): str(x) for x in range(z)}
+    )
+    p = np.real(np.diag(rho.matrix)).reshape(z, d_b)
+    expected = math.sqrt(np.sum(np.sum(np.sqrt(p), axis=0) ** 2)) / math.sqrt(z)
+    assert_allclose(run_randomness_extraction(inst).merit, expected, atol=1e-9)
 
 
 def test_randomness_extraction_table_must_be_surjective():
