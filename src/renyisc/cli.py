@@ -10,6 +10,7 @@ process entry point rather than lazily.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -282,6 +283,16 @@ def _cmd_limits(args) -> int:
     return 0
 
 
+def _check_args(args):
+    """Reject flag values that parse but have no meaning."""
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not math.isfinite(alpha):
+        raise UsageError(f"--alpha must be finite, got {alpha}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {trials}")
+
+
 _COMMANDS = {
     "entropy": _cmd_entropy,
     "divergence": _cmd_divergence,
@@ -304,6 +315,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

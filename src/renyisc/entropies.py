@@ -18,7 +18,14 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ConvergenceError, DimensionMismatchError, UsageError
-from .linalg import SUPPORT_TOL, fractional_power_matrix, schatten_norm, spectral_power, spectrum
+from .linalg import (
+    SUPPORT_TOL,
+    _kron,
+    fractional_power_matrix,
+    schatten_norm,
+    spectral_power,
+    spectrum,
+)
 from .random_ensembles import generator, ginibre
 from .spaces import LabeledOperator, partial_trace, permute_systems
 
@@ -205,12 +212,6 @@ def _unpack_l(x: np.ndarray, d: int, idx) -> np.ndarray:
 def _pack_l(l: np.ndarray, idx) -> np.ndarray:
     re_idx, im_idx = idx
     return np.concatenate([np.real(l[re_idx]), np.imag(l[im_idx])])
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b as a broadcast outer product; cheaper per call than np.kron."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def _power_adjoint(u: np.ndarray, lam: np.ndarray, c: float, h: np.ndarray) -> np.ndarray:

@@ -10,6 +10,13 @@ Canonical register labels (a trailing ``p`` marks a primed output system):
   {Xh, Bp}; ideal state on (R, X, Xp, B) from the measurement channel.
 * randomness extraction / data compression: classical-quantum input on
   (X, B) with a classical encoding table on n-fold strings.
+
+Redistribution and its specializations run on state vectors: every
+channel is a Stinespring isometry, its environment is kept rather than
+traced out, and the merit against the pure target is an overlap norm.
+Measurement compression runs on density matrices, since its ideal state
+is mixed.  The n-fold string ensembles are built one codeword class at a
+time from a table of (n-1)-fold prefix products.
 """
 
 from __future__ import annotations
@@ -21,13 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelSpec, apply_channels, measurement_channel
-from .errors import BudgetExceededError, UsageError
+from .errors import BudgetExceededError, DimensionMismatchError, UsageError
 from .entropies import conditional_entropy
-from .linalg import fidelity, fractional_power_matrix, purify, spectrum
+from .linalg import _kron, fidelity, fractional_power_matrix, purification_vector, purify
 from .spaces import (
     LabeledOperator,
     SystemSpace,
-    maximally_entangled,
     partial_trace,
     permute_systems,
 )
@@ -86,16 +92,6 @@ def _check_budget(dim: int):
         raise BudgetExceededError(f"composite dimension {dim} exceeds budget {DIM_BUDGET}")
 
 
-def _check_purified_budget(state: LabeledOperator, extra: int):
-    """Reject oversized instances before the purification is materialized.
-
-    The purification lives on dim * rank; forming its matrix squares that,
-    so the check must run before the allocation, not after.
-    """
-    rank = max(int(np.sum(spectrum(state.matrix, vectors=False)[2])), 1)
-    _check_budget(state.space.dim * rank * extra)
-
-
 def _log2_int(k: int) -> float:
     return math.log2(int(k))
 
@@ -151,33 +147,39 @@ def _parse_string(val, alphabet: int, n: int) -> int:
     return idx
 
 
-def _product_ensemble(p: np.ndarray, states: list[np.ndarray], n: int):
-    """n-fold i.i.d. ensemble over strings; yields (string, prob, state)."""
-    for s in _strings(len(p), n):
-        prob = float(np.prod([p[c] for c in s]))
-        st = states[s[0]]
-        for c in s[1:]:
-            st = np.kron(st, states[c])
-        yield s, prob, st
+def _string_probs(p: np.ndarray, n: int) -> np.ndarray:
+    """p_{s_1} ... p_{s_n} of every n-symbol string, in ``_strings`` order."""
+    probs = np.ones(1)
+    for _ in range(n):
+        probs = np.multiply.outer(probs, p).reshape(-1)
+    return probs
+
+
+def _prefix_products(states: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """rho_{s_1} (x) ... (x) rho_{s_{n-1}} of every (n-1)-symbol prefix.
+
+    In ``_strings`` order, so string ``i`` of n symbols over |X| letters has
+    the state ``_kron(table[i // |X|], states[i % |X|])``.
+    """
+    table = [np.ones((1, 1), dtype=complex)]
+    for _ in range(n - 1):
+        table = [_kron(a, st) for a in table for st in states]
+    return table
+
+
+def _codeword(table: dict, key: str, per_copy: int, n: int) -> int:
+    if key not in table:
+        raise UsageError(f"encoding table missing input {key!r}")
+    return _parse_string(table[key], per_copy, n)
 
 
 # ---------------------------------------------------------------------------
 # state redistribution and specializations
 
 
-def _redistribution_target(psi: LabeledOperator, m: int) -> LabeledOperator:
-    target = psi.rename({"A": "Ap", "B": "Bp", "C": "Cp"})
-    mes = maximally_entangled(m, "TAp", "TBp")
-    return target.tensor(mes)
-
-
-def _aligned(final: LabeledOperator, target: LabeledOperator) -> LabeledOperator:
-    """``final`` in the system order of ``target``; their labels must agree."""
-    if set(final.space.labels) != set(target.space.labels):
-        raise UsageError(
-            f"final labels {final.space.labels} do not match target {target.space.labels}"
-        )
-    return permute_systems(final, list(target.space.labels))
+def _check_labels(final_labels, target_labels):
+    if set(final_labels) != set(target_labels):
+        raise UsageError(f"final labels {final_labels} do not match target {target_labels}")
 
 
 def _snap(f: float) -> float:
@@ -188,13 +190,114 @@ def _snap(f: float) -> float:
 
 def _merit_against(final: LabeledOperator, target: LabeledOperator) -> float:
     """F(final, target) for a mixed target."""
-    return _snap(fidelity(_aligned(final, target), target))
+    _check_labels(final.space.labels, target.space.labels)
+    return _snap(fidelity(permute_systems(final, list(target.space.labels)), target))
 
 
-def _merit_against_pure(final: LabeledOperator, target: LabeledOperator) -> float:
-    """F(final, target) = sqrt tr(final target) for a pure target."""
-    overlap = float(np.vdot(target.matrix, _aligned(final, target).matrix).real)
-    return _snap(math.sqrt(max(overlap, 0.0)))
+@dataclass(frozen=True)
+class _PureState:
+    """|Psi> as a (system x environment) matrix ``m``; rho_system = m m^dagger.
+
+    ``space`` labels the rows.  The environments of the channels applied so
+    far share the one unlabeled column index, so a later channel can neither
+    take one as input nor clash with its label.
+    """
+
+    space: SystemSpace
+    m: np.ndarray
+
+    def tensor(self, other: "_PureState") -> "_PureState":
+        return _PureState(self.space.tensor(other.space), np.kron(self.m, other.m))
+
+    def rename(self, mapping: dict) -> "_PureState":
+        return _PureState(self.space.rename(mapping), self.m)
+
+    def rows(self, order) -> np.ndarray:
+        """``m`` with its rows in the system order ``order``."""
+        space = self.space
+        perm = [space.position(l) for l in order] + [len(space.dims)]
+        return self.m.reshape(space.dims + (-1,)).transpose(perm).reshape(self.m.shape)
+
+    def density(self) -> LabeledOperator:
+        return LabeledOperator.square(self.space, self.m @ self.m.conj().T)
+
+
+def _purified(rho: LabeledOperator, extra: int) -> _PureState:
+    """Canonical purification of ``rho`` on reference R (as ``linalg.purify``).
+
+    The budget check on dim * rank * ``extra`` (the dimension once the
+    ``extra`` registers are added) runs before the vector is built.
+    """
+    psi = purification_vector(rho.matrix)
+    _check_budget(psi.size * extra)
+    space = rho.space.tensor(SystemSpace.of(("R", psi.shape[1])))
+    return _PureState(space, psi.reshape(-1, 1))
+
+
+def _mes(rank: int, label_a: str, label_b: str) -> _PureState:
+    """Rank-``rank`` maximally entangled vector on two fresh systems."""
+    space = SystemSpace.of((label_a, rank), (label_b, rank))
+    return _PureState(space, np.eye(rank, dtype=complex).reshape(-1, 1) / math.sqrt(rank))
+
+
+def _fold(m: np.ndarray) -> np.ndarray:
+    """An environment of at most the system dimension with the same m m^dagger.
+
+    For m^dagger = QR, m m^dagger = R^dagger R, so R^dagger replaces m.
+    """
+    if m.shape[1] <= m.shape[0]:
+        return m
+    return np.linalg.qr(m.conj().T, mode="r").conj().T
+
+
+def _apply_isometry(ch: ChannelSpec, state: _PureState) -> _PureState:
+    """(V (x) I)|Psi> for the channel's Stinespring isometry V.
+
+    The channel's environment joins the column index, which is folded once
+    it outgrows the system.  The budget is checked on the new system
+    dimension before anything is computed.
+    """
+    space, v = state.space, ch.isometry
+    ins = list(ch.input_labels)
+    for l in ins:
+        if not space.has(l):
+            raise UsageError(f"channel input {l!r} missing from state {space.labels}")
+        if space.dim_of(l) != v.space_in.dim_of(l):
+            raise DimensionMismatchError(f"dimension mismatch on channel input {l!r}")
+    rest = space.restrict(set(space.labels) - set(ins))
+    clash = set(rest.labels) & set(v.space_out.labels)
+    if clash:
+        raise UsageError(f"channel output labels {sorted(clash)} clash with state")
+    outs = v.space_out.subsystems
+    keep = [i for i, (l, _) in enumerate(outs) if l not in ch.environment_labels]
+    env = [i for i, (l, _) in enumerate(outs) if l in ch.environment_labels]
+    new_space = SystemSpace(rest.subsystems + tuple(outs[i] for i in keep))
+    _check_budget(new_space.dim)
+    nr, e = len(rest.dims), state.m.shape[1]
+    perm = [space.position(l) for l in rest.labels + tuple(ins)]
+    t = state.m.reshape(space.dims + (e,)).transpose(perm[:nr] + [len(space.dims)] + perm[nr:])
+    t = t.reshape(rest.dim * e, v.space_in.dim) @ v.matrix.T
+    t = t.reshape(rest.dims + (e,) + v.space_out.dims)
+    t = t.transpose(list(range(nr)) + [nr + 1 + i for i in keep] + [nr] + [nr + 1 + i for i in env])
+    return _PureState(new_space, _fold(t.reshape(new_space.dim, -1)))
+
+
+def _run_isometric(rho: LabeledOperator, k: int, m: int, steps):
+    """(final state, merit) of ``steps`` (channel, allowed inputs or None) on |psi>|Phi_k>.
+
+    The merit against the pure target psi (x) Phi_m is
+    F = ||(<target| (x) I_E)|Psi>||.
+    """
+    psi = _purified(rho, k * k)
+    state = psi.tensor(_mes(k, "TA", "TB"))
+    for ch, allowed in steps:
+        if allowed is not None:
+            _check_wiring(ch, allowed, state.space)
+        state = _apply_isometry(ch, state)
+    target = psi.rename({"A": "Ap", "B": "Bp", "C": "Cp"}).tensor(_mes(m, "TAp", "TBp"))
+    _check_labels(state.space.labels, target.space.labels)
+    overlap = target.m[:, 0].conj() @ state.rows(target.space.labels)
+    return state.density(), _snap(float(np.linalg.norm(overlap)))
 
 
 def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
@@ -202,18 +305,9 @@ def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
         raise UsageError(f"expected a redistribution-like instance, got {inst.kind!r}")
     regs = inst.registers
     k, m, q = int(regs.get("k", 1)), int(regs.get("m", 1)), int(regs["q"])
-    _check_purified_budget(inst.input_state, k * k)
-    psi = purify(inst.input_state, "R")
-    mes = maximally_entangled(k, "TA", "TB")
-    state = psi.tensor(mes)
-    _check_budget(state.space.dim)
-    for ch in inst.encoders:
-        _check_wiring(ch, {"A", "C", "TA"}, state)
-        state = _apply(ch, state)
-    for ch in inst.decoders:
-        _check_wiring(ch, {"Q", "B", "TB"}, state)
-        state = _apply(ch, state)
-    merit = _merit_against_pure(state, _redistribution_target(psi, m))
+    steps = [(ch, {"A", "C", "TA"}) for ch in inst.encoders]
+    steps += [(ch, {"Q", "B", "TB"}) for ch in inst.decoders]
+    final, merit = _run_isometric(inst.input_state, k, m, steps)
     n = inst.copies
     costs = {"q": _log2_int(q) / n, "e": (_log2_int(k) - _log2_int(m)) / n}
     if inst.kind == MERGING:
@@ -222,7 +316,7 @@ def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
     if inst.kind == SPLITTING:
         costs["q_qss"] = costs["q"]
         costs["e_qss"] = costs["e"]
-    return ProtocolOutcome(state, merit, costs)
+    return ProtocolOutcome(final, merit, costs)
 
 
 def _apply(ch: ChannelSpec, state: LabeledOperator) -> LabeledOperator:
@@ -231,11 +325,11 @@ def _apply(ch: ChannelSpec, state: LabeledOperator) -> LabeledOperator:
     return out
 
 
-def _check_wiring(ch: ChannelSpec, allowed: set, state: LabeledOperator):
+def _check_wiring(ch: ChannelSpec, allowed: set, space: SystemSpace):
     inputs = set(ch.input_labels)
     if not inputs <= allowed:
         raise UsageError(f"channel inputs {sorted(inputs)} outside allowed {sorted(allowed)}")
-    missing = inputs - set(state.space.labels)
+    missing = inputs - set(space.labels)
     if missing:
         raise UsageError(f"channel inputs {sorted(missing)} absent from state")
 
@@ -295,14 +389,8 @@ def run_feedback_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
     if len(backward) != rounds - 1:
         raise UsageError("need exactly M-1 backward register sizes")
     k, m = int(regs.get("k", 1)), int(regs.get("m", 1))
-    _check_purified_budget(inst.input_state, k * k)
-    psi = purify(inst.input_state, "R")
-    state = psi.tensor(maximally_entangled(k, "TA", "TB"))
-    _check_budget(state.space.dim)
-    for i in range(rounds):
-        state = _apply(inst.encoders[i], state)
-        state = _apply(inst.decoders[i], state)
-    merit = _merit_against_pure(state, _redistribution_target(psi, m))
+    steps = [(ch, None) for pair in zip(inst.encoders, inst.decoders) for ch in pair]
+    final, merit = _run_isometric(inst.input_state, k, m, steps)
     n = inst.copies
     q_fw = sum(_log2_int(x) for x in forward) / n
     q_tot = q_fw + sum(_log2_int(x) for x in backward) / n
@@ -311,7 +399,7 @@ def run_feedback_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
         "q_tot": q_tot,
         "e": (_log2_int(k) - _log2_int(m)) / n,
     }
-    return ProtocolOutcome(state, merit, costs)
+    return ProtocolOutcome(final, merit, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +415,15 @@ def uniform_shared_randomness(size: int) -> LabeledOperator:
     return LabeledOperator.square(space, m)
 
 
-def ideal_measurement_state(rho_ab: LabeledOperator, povm) -> LabeledOperator:
-    """Apply the measurement channel to A of the purified input."""
-    psi = purify(rho_ab, "R")
+def _measured(psi: LabeledOperator, povm) -> LabeledOperator:
+    """The measurement channel on A of the purified input ``psi``."""
     ch = measurement_channel(povm, psi.space.restrict({"A"}), "X", "Xp", "Em")
     return apply_channels([ch], psi)
+
+
+def ideal_measurement_state(rho_ab: LabeledOperator, povm) -> LabeledOperator:
+    """Apply the measurement channel to A of the purified input."""
+    return _measured(purify(rho_ab, "R"), povm)
 
 
 def run_measurement_compression(inst: ProtocolInstance) -> ProtocolOutcome:
@@ -345,16 +437,14 @@ def run_measurement_compression(inst: ProtocolInstance) -> ProtocolOutcome:
         raise UsageError("POVM elements do not sum to the identity")
     regs = inst.registers
     l_size, ma_size = int(regs["l"]), int(regs.get("ma", 1))
-    _check_purified_budget(inst.input_state, ma_size * ma_size)
-    ideal = ideal_measurement_state(inst.input_state, povm)
-    psi = purify(inst.input_state, "R")
+    psi = _purified(inst.input_state, ma_size * ma_size).density()
+    ideal = _measured(psi, povm)
     state = psi.tensor(uniform_shared_randomness(ma_size))
-    _check_budget(state.space.dim)
     for ch in inst.encoders:
-        _check_wiring(ch, {"A", "MA"}, state)
+        _check_wiring(ch, {"A", "MA"}, state.space)
         state = _apply(ch, state)
     for ch in inst.decoders:
-        _check_wiring(ch, {"L", "B", "MB"}, state)
+        _check_wiring(ch, {"L", "B", "MB"}, state.space)
         state = _apply(ch, state)
     state = partial_trace(state, {"R", "Xb", "Xh", "Bp"})
     final = state.rename({"Xb": "X", "Xh": "Xp", "Bp": "B"})
@@ -373,13 +463,12 @@ def _cq_blocks_from_table(p, states, e_table, n, z_per_copy, z_size):
     db = states[0].shape[0]
     blocks = [np.zeros((db**n, db**n), dtype=complex) for _ in range(z_size)]
     seen = set()
-    for s, prob, st in _product_ensemble(p, states, n):
-        key = _string_key(s)
-        if key not in e_table:
-            raise UsageError(f"encoding table missing input {key!r}")
-        z = _parse_string(e_table[key], z_per_copy, n)
+    x = len(p)
+    prefixes, probs = _prefix_products(states, n), _string_probs(p, n)
+    for i, s in enumerate(_strings(x, n)):
+        z = _codeword(e_table, _string_key(s), z_per_copy, n)
         seen.add(z)
-        blocks[z] += prob * st
+        blocks[z] += probs[i] * _kron(prefixes[i // x], states[i % x])
     if len(seen) < z_size:
         raise UsageError("encoding table is not surjective onto the output alphabet")
     return blocks
@@ -462,32 +551,30 @@ def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
     c_size = c_per_copy**n
     db = states[0].shape[0]
     _check_budget(c_size * db**n)
-    # group the string ensemble by codeword
-    classes: dict[int, list[tuple[tuple, float, np.ndarray]]] = {c: [] for c in range(c_size)}
-    for s, prob, st in _product_ensemble(p, states, n):
+    # group the strings by codeword, then build one class's states at a time
+    x = len(p)
+    classes: list[list[tuple[int, str]]] = [[] for _ in range(c_size)]
+    for i, s in enumerate(_strings(x, n)):
         key = _string_key(s)
-        if key not in inst.e_table:
-            raise UsageError(f"encoding table missing input {key!r}")
-        c = _parse_string(inst.e_table[key], c_per_copy, n)
-        classes[c].append((s, prob, st))
+        classes[_codeword(inst.e_table, key, c_per_copy, n)].append((i, key))
+    prefixes, probs = _prefix_products(states, n), _string_probs(p, n)
     p_succ = 0.0
-    for c, members in classes.items():
+    for c, members in enumerate(classes):
         if not members:
             continue
+        ensemble = [(probs[i], _kron(prefixes[i // x], states[i % x])) for i, _ in members]
         if inst.decoder_povms is not None:
             povm = {k: np.asarray(v, dtype=complex) for k, v in inst.decoder_povms[c].items()}
             total = np.sum(list(povm.values()), axis=0)
             if np.max(np.abs(total - np.eye(db**n))) > 1e-8:
                 raise UsageError(f"decoder POVM for codeword {c} is incomplete")
-            for s, prob, st in members:
-                elem = povm.get(_string_key(s))
-                if elem is None:
-                    continue
-                p_succ += prob * float(np.trace(elem @ st).real)
+            decoder = [povm.get(key) for _, key in members]
         else:
-            decoder = pretty_good_decoder([(prob, st) for _, prob, st in members])
-            for (s, prob, st), elem in zip(members, decoder):
-                p_succ += prob * float(np.trace(elem @ st).real)
+            decoder = pretty_good_decoder(ensemble)
+        for (prob, st), elem in zip(ensemble, decoder):
+            if elem is not None:
+                # tr(elem st) without the matrix product
+                p_succ += prob * float(np.sum(elem * st.T).real)
     p_succ = min(max(p_succ, 0.0), 1.0)
     costs = {"m": _log2_int(c_size) / n}
     return ProtocolOutcome(inst.input_state, p_succ, costs)

@@ -108,7 +108,10 @@ class LabeledOperator:
                 f"matrix shape {m.shape} does not match spaces "
                 f"({self.space_out.dim}, {self.space_in.dim})"
             )
-        m = m.copy()
+        if m is self.matrix or m.base is not None:
+            # the caller's array (or a view of it, e.g. of an np.matrix);
+            # a converted one is already private
+            m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

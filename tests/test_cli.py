@@ -172,3 +172,20 @@ def test_limits(cq, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "entropy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["entropy", "--input", "{mm2}", "--alpha", "nan"], "--alpha"),
+        (["divergence", "--input", "{mm2}", "--sigma", "{mm2}", "--alpha", "inf"], "--alpha"),
+        (["verify", "--suite", "holder", "--trials", "-3"], "--trials"),
+        (["falsify", "--trials", "0", "--output-dir", "{tmp}"], "--trials"),
+    ],
+)
+def test_bad_flag_value_exits_2(mm2, tmp_path, capsys, argv, flag):
+    argv = [a.format(mm2=mm2, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err

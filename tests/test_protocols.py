@@ -1,13 +1,28 @@
+import dataclasses
+import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from renyisc.channels import ChannelSpec, identity_channel
+from renyisc.channels import ChannelSpec, apply_channels, identity_channel
+from renyisc.entropies import conditional_entropy
 from renyisc.errors import BudgetExceededError, UsageError
+from renyisc.harness import (
+    _merging_instance,
+    _random_channel,
+    _random_measurement_compression,
+    _random_redistribution_instance,
+    _splitting_instance,
+    random_feedback_instance,
+)
+from renyisc.linalg import fidelity, purify
 from renyisc.protocols import (
     DATA_COMPRESSION,
+    FEEDBACK,
     MEASUREMENT_COMPRESSION,
     MERGING,
     RANDOMNESS_EXTRACTION,
@@ -18,6 +33,7 @@ from renyisc.protocols import (
     ideal_measurement_state,
     pretty_good_decoder,
     run_data_compression,
+    run_feedback_redistribution,
     run_measurement_compression,
     run_protocol,
     run_randomness_extraction,
@@ -31,7 +47,13 @@ from renyisc.random_ensembles import (
     random_cq_state,
     random_state,
 )
-from renyisc.spaces import LabeledOperator, SystemSpace, partial_trace, permute_systems
+from renyisc.spaces import (
+    LabeledOperator,
+    SystemSpace,
+    maximally_entangled,
+    partial_trace,
+    permute_systems,
+)
 
 
 def _identity_redistribution(seed=0, q=2):
@@ -78,18 +100,105 @@ def test_redistribution_merit_drops_under_noise():
     assert run_redistribution(noisy).merit < 1.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_redistribution_pure_target_merit_matches_fidelity(seed):
-    from renyisc.harness import _random_redistribution_instance
-    from renyisc.linalg import fidelity, purify
-    from renyisc.protocols import _redistribution_target
+ISOMETRIC_KINDS = (REDISTRIBUTION, FEEDBACK, MERGING, SPLITTING)
 
-    inst = _random_redistribution_instance(generator(seed))
-    out = run_redistribution(inst)
-    target = _redistribution_target(purify(inst.input_state, "R"), inst.registers["m"])
+
+def _dense_target(inst):
+    """psi (x) Phi_m on the primed labels, from the public purify."""
+    psi = purify(inst.input_state, "R").rename({"A": "Ap", "B": "Bp", "C": "Cp"})
+    return psi.tensor(maximally_entangled(int(inst.registers.get("m", 1)), "TAp", "TBp"))
+
+
+def _channel_order(inst):
+    if inst.kind == FEEDBACK:
+        return [ch for pair in zip(inst.encoders, inst.decoders) for ch in pair]
+    return list(inst.encoders) + list(inst.decoders)
+
+
+def _dense_reference(inst):
+    """(final state, merit) on density matrices through the public apply_channels."""
+    k = int(inst.registers.get("k", 1))
+    start = purify(inst.input_state, "R").tensor(maximally_entangled(k, "TA", "TB"))
+    final = apply_channels(_channel_order(inst), start)
+    target = _dense_target(inst)
+    return final, fidelity(permute_systems(final, list(target.space.labels)), target)
+
+
+def _random_isometric_instance(kind, seed):
+    rng = generator(seed)
+    if kind == REDISTRIBUTION:
+        return _random_redistribution_instance(rng)
+    if kind == FEEDBACK:
+        return random_feedback_instance(rng, rounds=2)
+    if kind == MERGING:
+        rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=seed)
+        return _merging_instance(rng, rho, q=2, m=2)
+    rho = random_state(SystemSpace.of(("A", 2), ("C", 2)), seed=seed)
+    return _splitting_instance(rng, rho, q=2, k=2)
+
+
+def _shared_env(inst):
+    """The same instance with every channel's environment labeled "E"."""
+
+    def relabel(ch):
+        (env,) = ch.environment_labels
+        return ChannelSpec(ch.isometry.rename({env: "E"}), frozenset({"E"}))
+
+    return dataclasses.replace(
+        inst,
+        encoders=[relabel(ch) for ch in inst.encoders],
+        decoders=[relabel(ch) for ch in inst.decoders],
+    )
+
+
+_PURE_TARGET_CASES = [(kind, seed) for kind in ISOMETRIC_KINDS for seed in range(3)]
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    _PURE_TARGET_CASES,
+    ids=[str(s) if k == REDISTRIBUTION else f"{k}-{s}" for k, s in _PURE_TARGET_CASES],
+)
+def test_redistribution_pure_target_merit_matches_fidelity(kind, seed):
+    inst = _random_isometric_instance(kind, seed)
+    out = run_protocol(inst)
+    target = _dense_target(inst)
     final = permute_systems(out.final_state, list(target.space.labels))
     assert 0.0 < out.merit < 1.0
     assert_allclose(out.merit, fidelity(final, target), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ISOMETRIC_KINDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_environment_label_matches_dense_reference(kind, seed):
+    # encoder and decoder both name their environment "E", as channel_from_kraus does
+    inst = _shared_env(_random_isometric_instance(kind, seed))
+    out = run_protocol(inst)
+    final, merit = _dense_reference(inst)
+    assert_allclose(out.merit, merit, atol=1e-12)
+    got = permute_systems(out.final_state, list(final.space.labels))
+    assert_allclose(got.matrix, final.matrix, atol=1e-12)
+
+
+def test_feedback_environment_fold_matches_dense_reference(monkeypatch):
+    from renyisc import protocols
+
+    inst = random_feedback_instance(generator(5), rounds=4)
+    shapes = []
+    fold = protocols._fold
+
+    def recording(m):
+        shapes.append(m.shape)
+        return fold(m)
+
+    monkeypatch.setattr(protocols, "_fold", recording)
+    out = run_feedback_redistribution(inst)
+    # the kept environments outgrew the system, so some step folded them
+    assert any(env > system for system, env in shapes)
+    final, merit = _dense_reference(inst)
+    assert_allclose(out.merit, merit, atol=1e-12)
+    got = permute_systems(out.final_state, list(final.space.labels))
+    assert_allclose(got.matrix, final.matrix, atol=1e-12)
 
 
 def test_specialize_merging_pads_c():
@@ -324,3 +433,119 @@ def test_measurement_compression_lossless_classical_channel():
     assert out.costs == {"c": 1.0, "r": 0.0}
     # sending the full outcome reproduces the ideal state exactly
     assert out.merit > 1.0 - 1e-8
+
+
+def test_measurement_compression_decomposes_input_once(monkeypatch):
+    from renyisc import linalg
+
+    inst = _random_measurement_compression(generator(17), 17)[0]
+    rho = inst.input_state.matrix
+    seen = []
+    spectrum = linalg.spectrum
+
+    def counting(m, vectors=True):
+        seen.append(np.array(m))
+        return spectrum(m, vectors)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("renyisc") and getattr(mod, "spectrum", None) is spectrum:
+            monkeypatch.setattr(mod, "spectrum", counting)
+    run_measurement_compression(inst)
+    assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in seen) == 1
+
+
+# ---------------------------------------------------------------------------
+# n-copy ensembles against a per-string np.kron reference
+
+
+def _table(rng, alphabet, n, out_per_copy):
+    """Random encoding table on n-symbol strings that hits every output string."""
+    inputs = ["".join(map(str, s)) for s in itertools.product(range(alphabet), repeat=n)]
+    outputs = ["".join(map(str, s)) for s in itertools.product(range(out_per_copy), repeat=n)]
+    order = rng.permutation(len(inputs))
+    return {inputs[j]: outputs[i % len(outputs)] for i, j in enumerate(order)}
+
+
+def _kron_ensemble(cq, n):
+    """(key, probability, state) of every n-symbol string, state by np.kron."""
+    p, states = cq_components(cq)
+    out = []
+    for s in itertools.product(range(len(p)), repeat=n):
+        prob, st = 1.0, np.eye(1)
+        for c in s:
+            prob, st = prob * p[c], np.kron(st, states[c])
+        out.append(("".join(map(str, s)), prob, st))
+    return out
+
+
+def _index(word, base):
+    return sum(int(ch) * base**j for j, ch in enumerate(reversed(word)))
+
+
+@pytest.mark.parametrize("x, n, c", [(2, 3, 2), (3, 2, 2), (4, 3, 2)])
+def test_data_compression_matches_kron_reference(x, n, c):
+    rng = generator(20 + x)
+    cq = random_cq_state(x, 2, seed=20 + x)
+    table = _table(rng, x, n, c)
+    inst = ProtocolInstance(DATA_COMPRESSION, cq, copies=n, registers={"c": c}, e_table=table)
+    classes = {}
+    for key, prob, st in _kron_ensemble(cq, n):
+        classes.setdefault(table[key], []).append((prob, st))
+    want = 0.0
+    for members in classes.values():
+        for (prob, st), elem in zip(members, pretty_good_decoder(members)):
+            want += prob * float(np.trace(elem @ st).real)
+    assert_allclose(run_data_compression(inst).merit, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("x, n, z", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
+def test_randomness_extraction_matches_kron_reference(x, n, z):
+    rng = generator(30 + x)
+    cq = random_cq_state(x, 2, seed=30 + x)
+    table = _table(rng, x, n, z)
+    inst = ProtocolInstance(RANDOMNESS_EXTRACTION, cq, copies=n, registers={"z": z}, e_table=table)
+    db = 2**n
+    omega = np.zeros((z**n * db,) * 2, dtype=complex)
+    for key, prob, st in _kron_ensemble(cq, n):
+        b = _index(table[key], z) * db
+        omega[b : b + db, b : b + db] += prob * st
+    out = run_randomness_extraction(inst)
+    assert_allclose(out.final_state.matrix, omega, atol=1e-12)
+    ref = LabeledOperator.square(SystemSpace.of(("Z", z**n), ("Bn", db)), omega)
+    want = 2 ** (conditional_entropy(ref, ["Bn"], 0.5).value / 2) / math.sqrt(z**n)
+    assert_allclose(out.merit, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# memory: the isometric kinds hold vectors, compression one codeword class
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_redistribution_333_memory():
+    rng = generator(40)
+    rho = random_state(SystemSpace.of(("A", 3), ("B", 3), ("C", 3)), seed=40)
+    enc_in = SystemSpace.of(("A", 3), ("C", 3), ("TA", 2))
+    enc = _random_channel(rng, enc_in, [("Cp", 3), ("TAp", 1), ("Q", 2)], "E1")
+    dec_in = SystemSpace.of(("Q", 2), ("B", 3), ("TB", 2))
+    dec = _random_channel(rng, dec_in, [("TBp", 1), ("Ap", 3), ("Bp", 3)], "E2")
+    inst = ProtocolInstance(
+        REDISTRIBUTION, rho, registers={"k": 2, "m": 1, "q": 2}, encoders=[enc], decoders=[dec]
+    )
+    # the density-matrix path peaked near 960 MiB here
+    assert _peak_mib(lambda: run_redistribution(inst)) < 64
+
+
+def test_data_compression_n6_memory():
+    cq = random_cq_state(4, 2, seed=41)
+    table = _table(generator(41), 4, 6, 2)
+    inst = ProtocolInstance(DATA_COMPRESSION, cq, copies=6, registers={"c": 2}, e_table=table)
+    # holding all 4096 six-fold states peaked near 270 MiB
+    assert _peak_mib(lambda: run_data_compression(inst)) < 64

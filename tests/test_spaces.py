@@ -60,6 +60,24 @@ def test_operator_matrix_read_only():
         op.matrix[0, 0] = 5.0
 
 
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+@pytest.mark.parametrize("wrap", [np.asarray, np.asmatrix, lambda a: a.reshape(2, 2)])
+def test_operator_does_not_alias_callers_array(wrap):
+    # the caller's complex array, an np.matrix over it, or a view of it
+    data = np.arange(4, dtype=complex).reshape(2, 2)
+    op = LabeledOperator.square(SystemSpace.of(("A", 2)), wrap(data))
+    data[0, 0] = 5.0
+    assert op.matrix[0, 0] == 0.0
+    assert op.matrix.flags.owndata
+
+
+def test_operator_converts_real_input_once():
+    data = np.eye(2)
+    op = LabeledOperator.square(SystemSpace.of(("A", 2)), data)
+    data[0, 0] = 5.0
+    assert op.matrix[0, 0] == 1.0 and op.matrix.dtype == complex
+
+
 def test_density_operator_validation():
     space = SystemSpace.of(("A", 2))
     with pytest.raises(UsageError):
