@@ -34,11 +34,23 @@ from .protocols import (
     RANDOMNESS_EXTRACTION,
     REDISTRIBUTION,
     SPLITTING,
+    cq_components,
 )
 from .spaces import LabeledOperator, partial_trace
 
 BOUND_CONFIG = OptimizerConfig(starts=3)
 DEFAULT_GRID = tuple(np.linspace(0.51, 0.99, 25))
+
+# the rates (in bits per copy) that the bounds of each protocol kind compare against
+_RATE_KEYS = {
+    REDISTRIBUTION: ("q", "e"),
+    FEEDBACK: ("q_fw", "q_tot", "e"),
+    MERGING: ("q_csm", "e_csm"),
+    SPLITTING: ("q", "e"),
+    MEASUREMENT_COMPRESSION: ("c",),
+    RANDOMNESS_EXTRACTION: ("l",),
+    DATA_COMPRESSION: ("m",),
+}
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,11 @@ class _BoundEvaluator:
 
     def _setup(self):
         kind, state = self.kind, self.state
+        if kind not in _RATE_KEYS:
+            raise UsageError(f"unknown protocol kind {kind!r}")
+        missing = [key for key in _RATE_KEYS[kind] if key not in self.rates]
+        if missing:
+            raise UsageError(f"{kind} bounds need the rate {missing[0]!r}")
         if kind in (REDISTRIBUTION, FEEDBACK, MERGING, SPLITTING):
             labels = set(state.space.labels)
             if kind == SPLITTING and not labels >= {"A", "C"}:
@@ -99,11 +116,8 @@ class _BoundEvaluator:
         elif kind == MEASUREMENT_COMPRESSION:
             if set(state.space.labels) != {"R", "X", "Xp", "B"}:
                 raise UsageError("measurement compression expects the ideal state on R, X, Xp, B")
-        elif kind in (RANDOMNESS_EXTRACTION, DATA_COMPRESSION):
-            if len(state.space.subsystems) != 2:
-                raise UsageError("c-q protocols expect a bipartite (X, B) state")
-        else:
-            raise UsageError(f"unknown protocol kind {kind!r}")
+        else:  # randomness extraction and data compression take a c-q state on (X, B)
+            cq_components(state)
 
     def marginal(self, source: LabeledOperator, keep) -> LabeledOperator:
         key = (id(source), tuple(sorted(keep)))
@@ -316,15 +330,7 @@ def _vn_limits(kind: str, state: LabeledOperator) -> dict[str, float]:
 def _expressions_for_limits(kind, state, eps, config):
     """Bound expressions at alpha = 1 - eps, as (id -> value)."""
     alpha = 1.0 - eps
-    zero_rates = {
-        REDISTRIBUTION: {"q": 0.0, "e": 0.0},
-        FEEDBACK: {"q_fw": 0.0, "q_tot": 0.0, "e": 0.0},
-        MERGING: {"q_csm": 0.0, "e_csm": 0.0},
-        SPLITTING: {"q": 0.0, "e": 0.0},
-        MEASUREMENT_COMPRESSION: {"c": 0.0},
-        RANDOMNESS_EXTRACTION: {"l": 0.0},
-        DATA_COMPRESSION: {"m": 0.0},
-    }[kind]
+    zero_rates = dict.fromkeys(_RATE_KEYS[kind], 0.0)
     ev = _BoundEvaluator(kind, state, zero_rates, config)
     return {bound_id: expr for bound_id, _, expr, _ in ev.expressions(alpha)}
 

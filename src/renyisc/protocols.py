@@ -15,8 +15,10 @@ Redistribution and its specializations run on state vectors: every
 channel is a Stinespring isometry, its environment is kept rather than
 traced out, and the merit against the pure target is an overlap norm.
 Measurement compression runs on density matrices, since its ideal state
-is mixed.  The n-fold string ensembles are built one codeword class at a
-time from a table of (n-1)-fold prefix products.
+is mixed.  The n-fold string ensembles are summed one codeword class at a
+time from a stacked table of (n-1)-fold prefix products, and data
+compression scores the pretty-good decoder from those sums without forming
+its POVM (``pretty_good_decoder`` is the reference construction).
 """
 
 from __future__ import annotations
@@ -155,15 +157,20 @@ def _string_probs(p: np.ndarray, n: int) -> np.ndarray:
     return probs
 
 
-def _prefix_products(states: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """rho_{s_1} (x) ... (x) rho_{s_{n-1}} of every (n-1)-symbol prefix.
+def _prefix_products(states: list[np.ndarray], n: int) -> np.ndarray:
+    """rho_{s_1} (x) ... (x) rho_{s_{n-1}} of every (n-1)-symbol prefix, stacked.
 
-    In ``_strings`` order, so string ``i`` of n symbols over |X| letters has
-    the state ``_kron(table[i // |X|], states[i % |X|])``.
+    A (|X|^{n-1}, d^{n-1}, d^{n-1}) array in ``_strings`` order, so string
+    ``i`` of n symbols over |X| letters has the state
+    ``table[i // |X|] (x) states[i % |X|]``.
     """
-    table = [np.ones((1, 1), dtype=complex)]
+    stack = np.asarray(states, dtype=complex)
+    table = np.ones((1, 1, 1), dtype=complex)
     for _ in range(n - 1):
-        table = [_kron(a, st) for a in table for st in states]
+        dim = table.shape[1] * stack.shape[1]
+        table = (table[:, None, :, None, :, None] * stack[None, :, None, :, None, :]).reshape(
+            -1, dim, dim
+        )
     return table
 
 
@@ -171,6 +178,45 @@ def _codeword(table: dict, key: str, per_copy: int, n: int) -> int:
     if key not in table:
         raise UsageError(f"encoding table missing input {key!r}")
     return _parse_string(table[key], per_copy, n)
+
+
+def _codes(table: dict, alphabet: int, per_copy: int, n: int) -> np.ndarray:
+    """The codeword index of every n-symbol string, in ``_strings`` order."""
+    return np.array(
+        [_codeword(table, _string_key(s), per_copy, n) for s in _strings(alphabet, n)],
+        dtype=np.intp,
+    )
+
+
+def _classes(codes: np.ndarray) -> list[np.ndarray]:
+    """The strings of each codeword that occurs, ascending by codeword.
+
+    Each class lists its strings in ``_strings`` order (a stable sort).
+    """
+    order = np.argsort(codes, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
+
+
+def _by_last_letter(members: np.ndarray, alphabet: int):
+    """(letter, the members ending in it) for every letter that occurs."""
+    for b in range(alphabet):
+        sel = members[members % alphabet == b]
+        if sel.size:
+            yield b, sel
+
+
+def _class_sum(members, probs, prefixes, states) -> np.ndarray:
+    """sum over the member strings i of probs[i] A_i (x) B_i.
+
+    A_i is the prefix product of string i and B_i the state of its last
+    letter; the members that share a last letter are summed on the prefix
+    factor first, so this is one tensordot and one ``_kron`` per letter.
+    """
+    x = len(states)
+    total = 0
+    for b, sel in _by_last_letter(members, x):
+        total = total + _kron(np.tensordot(probs[sel], prefixes[sel // x], axes=1), states[b])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +506,11 @@ def run_measurement_compression(inst: ProtocolInstance) -> ProtocolOutcome:
 
 def _cq_blocks_from_table(p, states, e_table, n, z_per_copy, z_size):
     """Blocks W_z = sum over e(x)=z of p_x rho_B^x for n-fold strings."""
-    db = states[0].shape[0]
-    blocks = [np.zeros((db**n, db**n), dtype=complex) for _ in range(z_size)]
-    seen = set()
-    x = len(p)
-    prefixes, probs = _prefix_products(states, n), _string_probs(p, n)
-    for i, s in enumerate(_strings(x, n)):
-        z = _codeword(e_table, _string_key(s), z_per_copy, n)
-        seen.add(z)
-        blocks[z] += probs[i] * _kron(prefixes[i // x], states[i % x])
-    if len(seen) < z_size:
+    codes = _codes(e_table, len(p), z_per_copy, n)
+    if np.unique(codes).size < z_size:
         raise UsageError("encoding table is not surjective onto the output alphabet")
-    return blocks
+    prefixes, probs = _prefix_products(states, n), _string_probs(p, n)
+    return [_class_sum(members, probs, prefixes, states) for members in _classes(codes)]
 
 
 def _block_fidelity(blocks, sigma: np.ndarray) -> float:
@@ -540,6 +579,29 @@ def pretty_good_decoder(ensemble: list[tuple[float, np.ndarray]]) -> list[np.nda
     return elements
 
 
+def _pgm_success(members, probs, prefixes, states) -> float:
+    """sum_i w_i tr(Lambda_i rho_i) of the pretty-good decoder of one class.
+
+    Lambda_i = R w_i rho_i R with R = avg^{-1/2} on the support of the class
+    average, so the sum is sum_i w_i^2 tr((R rho_i)^2).  The kernel projector
+    I - R avg R that ``pretty_good_decoder`` adds to the first element scores
+    nothing: for a kernel vector v, w_i <v|rho_i|v> <= <v|avg|v>, which is 0
+    (or below ``CLIP_REL`` times the top eigenvalue where the spectrum was
+    clipped).  No Lambda_i is formed: with rho_i = A_i (x) B (prefix product, last letter),
+    R rho_i = R (I (x) B) (A_i (x) I), whose blocks over the last copy are
+    [R (I (x) B)]_be A_i, one batched product for all members ending in B.
+    """
+    x, d, dp = len(states), states[0].shape[0], prefixes.shape[1]
+    r = fractional_power_matrix(_class_sum(members, probs, prefixes, states), -0.5)
+    total = 0.0
+    for b, sel in _by_last_letter(members, x):
+        # rows (b, e, a) and columns a' of [R (I (x) B)][(a, b), (a', e)]
+        rb = (r.reshape(-1, d) @ states[b]).reshape(dp, d, dp, d).transpose(1, 3, 0, 2)
+        y = np.matmul(rb.reshape(d * d * dp, dp), prefixes[sel // x]).reshape(-1, d, d, dp, dp)
+        total += float(probs[sel] ** 2 @ np.einsum("kbeay,kebya->k", y, y).real)
+    return total
+
+
 def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
     if inst.kind != DATA_COMPRESSION:
         raise UsageError(f"expected a data-compression instance, got {inst.kind!r}")
@@ -551,30 +613,25 @@ def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
     c_size = c_per_copy**n
     db = states[0].shape[0]
     _check_budget(c_size * db**n)
-    # group the strings by codeword, then build one class's states at a time
     x = len(p)
-    classes: list[list[tuple[int, str]]] = [[] for _ in range(c_size)]
-    for i, s in enumerate(_strings(x, n)):
-        key = _string_key(s)
-        classes[_codeword(inst.e_table, key, c_per_copy, n)].append((i, key))
+    codes = _codes(inst.e_table, x, c_per_copy, n)
     prefixes, probs = _prefix_products(states, n), _string_probs(p, n)
     p_succ = 0.0
-    for c, members in enumerate(classes):
-        if not members:
+    for members in _classes(codes):
+        if inst.decoder_povms is None:
+            p_succ += _pgm_success(members, probs, prefixes, states)
             continue
-        ensemble = [(probs[i], _kron(prefixes[i // x], states[i % x])) for i, _ in members]
-        if inst.decoder_povms is not None:
-            povm = {k: np.asarray(v, dtype=complex) for k, v in inst.decoder_povms[c].items()}
-            total = np.sum(list(povm.values()), axis=0)
-            if np.max(np.abs(total - np.eye(db**n))) > 1e-8:
-                raise UsageError(f"decoder POVM for codeword {c} is incomplete")
-            decoder = [povm.get(key) for _, key in members]
-        else:
-            decoder = pretty_good_decoder(ensemble)
-        for (prob, st), elem in zip(ensemble, decoder):
+        c = int(codes[members[0]])
+        povm = {k: np.asarray(v, dtype=complex) for k, v in inst.decoder_povms[c].items()}
+        total = np.sum(list(povm.values()), axis=0)
+        if np.max(np.abs(total - np.eye(db**n))) > 1e-8:
+            raise UsageError(f"decoder POVM for codeword {c} is incomplete")
+        for i in members:
+            elem = povm.get(_string_key(np.unravel_index(i, (x,) * n)))
             if elem is not None:
+                st = _kron(prefixes[i // x], states[i % x])
                 # tr(elem st) without the matrix product
-                p_succ += prob * float(np.sum(elem * st.T).real)
+                p_succ += probs[i] * float(np.sum(elem * st.T).real)
     p_succ = min(max(p_succ, 0.0), 1.0)
     costs = {"m": _log2_int(c_size) / n}
     return ProtocolOutcome(inst.input_state, p_succ, costs)

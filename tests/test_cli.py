@@ -189,3 +189,30 @@ def test_bad_flag_value_exits_2(mm2, tmp_path, capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, rates, key",
+    [("data-compression", "x=0.5", "m"), ("randomness-extraction", "m=0.5", "l")],
+)
+def test_exponent_curve_missing_rate_exits_2(cq, capsys, kind, rates, key):
+    assert main(["exponent-curve", "--kind", kind, "--input", cq,
+                 "--rates", rates, "--grid", "0.6:0.9:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert kind in captured.err
+    assert repr(key) in captured.err
+
+
+@pytest.mark.parametrize("kind", ["data-compression", "randomness-extraction"])
+def test_exponent_curve_non_cq_state_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "coherent.json"
+    rho = random_state(SystemSpace.of(("X", 2), ("B", 2)), seed=9)
+    assert np.linalg.matrix_rank(rho.matrix) == 4
+    rio.save_state(str(path), rho)
+    rate = "m=1" if kind == "data-compression" else "l=1"
+    assert main(["exponent-curve", "--kind", kind, "--input", str(path),
+                 "--rates", rate, "--grid", "0.6:0.9:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not classical on its first register" in captured.err

@@ -46,6 +46,7 @@ from renyisc.random_ensembles import (
     random_classical_state,
     random_cq_state,
     random_state,
+    random_state_matrix,
 )
 from renyisc.spaces import (
     LabeledOperator,
@@ -482,20 +483,113 @@ def _index(word, base):
     return sum(int(ch) * base**j for j, ch in enumerate(reversed(word)))
 
 
-@pytest.mark.parametrize("x, n, c", [(2, 3, 2), (3, 2, 2), (4, 3, 2)])
-def test_data_compression_matches_kron_reference(x, n, c):
-    rng = generator(20 + x)
-    cq = random_cq_state(x, 2, seed=20 + x)
-    table = _table(rng, x, n, c)
-    inst = ProtocolInstance(DATA_COMPRESSION, cq, copies=n, registers={"c": c}, e_table=table)
+def _pure_letters_cq(x, seed):
+    """c-q state with pure conditional states, so class averages can be rank-deficient."""
+    rng = generator(seed)
+    p = rng.dirichlet(np.ones(x))
+    m = np.zeros((2 * x, 2 * x), dtype=complex)
+    for a in range(x):
+        m[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] = p[a] * random_state_matrix(rng, 2, rank=1)
+    return LabeledOperator.square(SystemSpace.of(("X", x), ("B", 2)), m)
+
+
+def _isolate_first(table):
+    """The same table with the all-zero string alone in its class."""
+    first = min(table)
+    out = dict(table)
+    spare = next(v for v in sorted(set(table.values())) if v != table[first])
+    for key, val in table.items():
+        if key != first and val == table[first]:
+            out[key] = spare
+    return out
+
+
+def _pgm_classes(cq, table, n):
     classes = {}
     for key, prob, st in _kron_ensemble(cq, n):
         classes.setdefault(table[key], []).append((prob, st))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "x, n, c, letters, one_member",
+    [
+        pytest.param(2, 3, 2, "mixed", False, id="2-3-2"),
+        pytest.param(3, 2, 2, "mixed", False, id="3-2-2"),
+        pytest.param(4, 3, 2, "mixed", False, id="4-3-2"),
+        pytest.param(3, 1, 2, "mixed", False, id="n1"),
+        pytest.param(3, 3, 2, "pure", False, id="pure-letters"),
+        pytest.param(3, 2, 2, "mixed", True, id="one-member-class"),
+    ],
+)
+def test_data_compression_matches_kron_reference(x, n, c, letters, one_member):
+    rng = generator(20 + x)
+    if letters == "pure":
+        cq = _pure_letters_cq(x, 20 + x)
+    else:
+        cq = random_cq_state(x, 2, seed=20 + x)
+    table = _table(rng, x, n, c)
+    if one_member:
+        table = _isolate_first(table)
+    inst = ProtocolInstance(DATA_COMPRESSION, cq, copies=n, registers={"c": c}, e_table=table)
+    classes = _pgm_classes(cq, table, n)
+    if letters == "pure":
+        # rank-deficient class averages: R is zero on their kernels
+        assert any(
+            np.linalg.matrix_rank(sum(w * st for w, st in members), tol=1e-9) < 2**n
+            for members in classes.values()
+        )
+    if one_member:
+        assert min(len(members) for members in classes.values()) == 1
     want = 0.0
     for members in classes.values():
         for (prob, st), elem in zip(members, pretty_good_decoder(members)):
             want += prob * float(np.trace(elem @ st).real)
     assert_allclose(run_data_compression(inst).merit, want, atol=1e-12)
+
+
+def test_data_compression_decoder_povms_n2():
+    # the pretty-good elements, passed as custom POVMs, give the same merit
+    x, n, c = 3, 2, 2
+    cq = random_cq_state(x, 2, seed=25)
+    table = _table(generator(25), x, n, c)
+    povms = {}
+    for word, members in _pgm_classes(cq, table, n).items():
+        keys = [key for key in sorted(table) if table[key] == word]
+        povms[_index(word, c)] = dict(zip(keys, pretty_good_decoder(members)))
+    inst = ProtocolInstance(DATA_COMPRESSION, cq, copies=n, registers={"c": c}, e_table=table)
+    want = run_data_compression(inst).merit
+    custom = dataclasses.replace(inst, decoder_povms=povms)
+    assert_allclose(run_data_compression(custom).merit, want, atol=1e-12)
+
+
+def test_data_compression_one_decomposition_per_class(monkeypatch):
+    from renyisc import linalg, protocols
+
+    x, n, c = 4, 3, 2
+    cq = random_cq_state(x, 2, seed=26)
+    table = _table(generator(26), x, n, c)
+    inst = ProtocolInstance(DATA_COMPRESSION, cq, copies=n, registers={"c": c}, e_table=table)
+    spectra, krons = [], []
+    spectrum, kron = linalg.spectrum, linalg._kron
+
+    def counting_spectrum(m, vectors=True):
+        spectra.append(m.shape)
+        return spectrum(m, vectors)
+
+    def counting_kron(a, b):
+        krons.append(a.shape)
+        return kron(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("renyisc") and getattr(mod, "spectrum", None) is spectrum:
+            monkeypatch.setattr(mod, "spectrum", counting_spectrum)
+    monkeypatch.setattr(protocols, "_kron", counting_kron)
+    run_data_compression(inst)
+    assert spectra == [(2**n, 2**n)] * len(set(table.values()))
+    # one class sum per (codeword, last letter), never one state per string
+    per_letter = {(word, key[-1]) for key, word in table.items()}
+    assert len(krons) == len(per_letter) < x**n
 
 
 @pytest.mark.parametrize("x, n, z", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
