@@ -13,6 +13,7 @@ certifies exponential decay of the merit at the given rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,19 +126,11 @@ class _BoundEvaluator:
             self._marginals[key] = partial_trace(source, keep)
         return self._marginals[key]
 
-    def _cond(self, tag: str, rho: LabeledOperator, given, alpha: float) -> float:
+    def _optimized(self, quantity, tag: str, rho: LabeledOperator, labels, alpha: float) -> float:
+        """``quantity`` (conditional_entropy or mutual_information), warm-started under ``tag``."""
         warm = self._warm.get(tag)
-        out = conditional_entropy(
-            rho, given, alpha, self.config, warm_starts=(warm,) if warm is not None else ()
-        )
-        self._warm[tag] = out.optimizer.matrix
-        return out.value
-
-    def _mut(self, tag: str, rho: LabeledOperator, over, alpha: float) -> float:
-        warm = self._warm.get(tag)
-        out = mutual_information(
-            rho, over, alpha, self.config, warm_starts=(warm,) if warm is not None else ()
-        )
+        warm_starts = () if warm is None else (warm,)
+        out = quantity(rho, labels, alpha, self.config, warm_starts=warm_starts)
         self._warm[tag] = out.optimizer.matrix
         return out.value
 
@@ -149,14 +142,16 @@ class _BoundEvaluator:
         rates = self.rates
         kind = self.kind
         out = []
+        cond = partial(self._optimized, conditional_entropy)
+        mut = partial(self._optimized, mutual_information)
         if kind in (REDISTRIBUTION, FEEDBACK):
             rho_ab = self.marginal(self.state, {"A", "B"})
             rho_b = self.marginal(self.state, {"B"})
             rho_rab = self.marginal(self.psi, {"R", "A", "B"})
             rho_rb = self.marginal(self.psi, {"R", "B"})
             expr1 = renyi_entropy(rho_ab, b) - renyi_entropy(rho_b, a)
-            expr2 = self._cond("RB", rho_rb, ["B"], b) - self._cond("RAB", rho_rab, ["A", "B"], a)
-            expr3 = self._mut("mRAB", rho_rab, ["A", "B"], a) - self._mut("mRB", rho_rb, ["B"], b)
+            expr2 = cond("RB", rho_rb, ["B"], b) - cond("RAB", rho_rab, ["A", "B"], a)
+            expr3 = mut("mRAB", rho_rab, ["A", "B"], a) - mut("mRB", rho_rb, ["B"], b)
             if kind == REDISTRIBUTION:
                 q, e = rates["q"], rates["e"]
                 out.append(("redistribution-q+e", kap, expr1, q + e))
@@ -174,7 +169,7 @@ class _BoundEvaluator:
             rho_r = self.marginal(self.psi, {"R"})
             q, e = rates["q_csm"], rates["e_csm"]
             expr1 = renyi_entropy(rho_ab, b) - renyi_entropy(rho_b, a)
-            expr2 = renyi_entropy(rho_r, b) - self._cond("RA", rho_ra, ["A"], a)
+            expr2 = renyi_entropy(rho_r, b) - cond("RA", rho_ra, ["A"], a)
             out.append(("merging-q-e", kap, expr1, q - e))
             out.append(("merging-2q", kap, expr2, 2 * q))
         elif kind == SPLITTING:
@@ -183,8 +178,8 @@ class _BoundEvaluator:
             rho_r = self.marginal(self.psi, {"R"})
             q, e = rates["q"], rates["e"]
             expr1 = renyi_entropy(rho_a, b)
-            expr2 = renyi_entropy(rho_r, b) - self._cond("RA", rho_ra, ["A"], a)
-            expr3 = self._mut("mRA", rho_ra, ["A"], a)
+            expr2 = renyi_entropy(rho_r, b) - cond("RA", rho_ra, ["A"], a)
+            expr3 = mut("mRA", rho_ra, ["A"], a)
             out.append(("splitting-q+e", kap, expr1, q + e))
             out.append(("splitting-2q-cond", kap, expr2, 2 * q))
             out.append(("splitting-2q-mutual", kap, expr3, 2 * q))
@@ -192,23 +187,21 @@ class _BoundEvaluator:
             phi_rb = self.marginal(self.state, {"R", "B"})
             phi_rxb = self.marginal(self.state, {"R", "X", "B"})
             c = rates["c"]
-            expr = self._cond("RB", phi_rb, ["B"], b) - self._cond(
-                "RXB", phi_rxb, ["X", "B"], a
-            )
+            expr = cond("RB", phi_rb, ["B"], b) - cond("RXB", phi_rxb, ["X", "B"], a)
             out.append(("measurement-compression-c", kap, expr, c))
         elif kind == RANDOMNESS_EXTRACTION:
             rho_b = self.marginal(self.state, {self.state.space.labels[1]})
             l = rates["l"]
             kap4 = kap / 2.0
             expr1 = renyi_entropy(self.state, a) - renyi_entropy(rho_b, b)
-            expr2 = self._cond("XB", self.state, [self.state.space.labels[1]], a)
+            expr2 = cond("XB", self.state, [self.state.space.labels[1]], a)
             out.append(("randomness-extraction-linear", kap4, expr1, l))
             out.append(("randomness-extraction-cond", kap4, expr2, l))
         elif kind == DATA_COMPRESSION:
             rho_b = self.marginal(self.state, {self.state.space.labels[1]})
             m = rates["m"]
             expr1 = renyi_entropy(self.state, b) - renyi_entropy(rho_b, a)
-            expr2 = self._cond("XB", self.state, [self.state.space.labels[1]], b)
+            expr2 = cond("XB", self.state, [self.state.space.labels[1]], b)
             out.append(("data-compression-linear", kap, expr1, m))
             out.append(("data-compression-cond", kap, expr2, m))
         return out

@@ -15,6 +15,8 @@ from .errors import DimensionMismatchError, InvalidChannelError, UsageError
 from .spaces import LabeledOperator, SystemSpace, partial_trace, permute_systems
 
 ISOMETRY_TOL = 1e-10
+# largest entry of sum(elements) - I that a complete POVM may show
+POVM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,6 @@ class ChannelSpec:
     @property
     def input_labels(self) -> tuple[str, ...]:
         return self.isometry.space_in.labels
-
-    @property
-    def output_labels(self) -> tuple[str, ...]:
-        return tuple(
-            l for l in self.isometry.space_out.labels if l not in self.environment_labels
-        )
 
 
 def isometry_channel(
@@ -82,6 +78,13 @@ def dephasing_channel(space: SystemSpace, env_label: str = "E") -> ChannelSpec:
     return channel_from_kraus(space, space, kraus, env_label)
 
 
+def check_povm(elements, dim: int, message: str = "POVM elements do not sum to the identity"):
+    """Raise UsageError(``message``) unless the elements sum to the dim x dim identity."""
+    total = np.sum(elements, axis=0)
+    if np.max(np.abs(total - np.eye(dim))) > POVM_TOL:
+        raise UsageError(message)
+
+
 def measurement_channel(
     povm, space_in: SystemSpace, x_label: str = "X", xp_label: str = "Xp", env_label: str = "Em"
 ) -> ChannelSpec:
@@ -96,9 +99,7 @@ def measurement_channel(
 
     n = len(povm)
     d = space_in.dim
-    total = np.sum(povm, axis=0)
-    if np.max(np.abs(total - np.eye(d))) > 1e-8:
-        raise UsageError("POVM elements do not sum to the identity")
+    check_povm(povm, d)
     space_out = SystemSpace.of((x_label, n), (xp_label, n))
     kraus = []
     for x in range(n):
@@ -110,28 +111,33 @@ def measurement_channel(
     return channel_from_kraus(space_in, space_out, kraus, env_label)
 
 
-def apply_channel(ch: ChannelSpec, rho: LabeledOperator) -> LabeledOperator:
-    """Apply the channel to its input subsystems of ``rho``, identity elsewhere."""
-    space = rho.space
-    in_labels = list(ch.input_labels)
-    for l in in_labels:
+def bystander_space(ch: ChannelSpec, space: SystemSpace) -> SystemSpace:
+    """The systems of ``space`` the channel leaves alone, in their order.
+
+    Raises if an input is missing or has another dimension in ``space``, or
+    if an output label is already taken by a bystander.
+    """
+    for l in ch.input_labels:
         if not space.has(l):
             raise UsageError(f"channel input {l!r} missing from state {space.labels}")
         if space.dim_of(l) != ch.isometry.space_in.dim_of(l):
             raise DimensionMismatchError(f"dimension mismatch on channel input {l!r}")
-    rest_labels = [l for l in space.labels if l not in in_labels]
-    clash = set(rest_labels) & set(ch.isometry.space_out.labels)
+    rest = space.restrict(set(space.labels) - set(ch.input_labels))
+    clash = set(rest.labels) & set(ch.isometry.space_out.labels)
     if clash:
         raise UsageError(f"channel output labels {sorted(clash)} clash with state")
-    ordered = permute_systems(rho, rest_labels + in_labels)
-    d_rest = ordered.space.restrict(rest_labels).dim if rest_labels else 1
+    return rest
+
+
+def apply_channel(ch: ChannelSpec, rho: LabeledOperator) -> LabeledOperator:
+    """Apply the channel to its input subsystems of ``rho``, identity elsewhere."""
+    rest = bystander_space(ch, rho.space)
+    ordered = permute_systems(rho, list(rest.labels) + list(ch.input_labels))
     d_in = ch.isometry.space_in.dim
-    d_out = ch.isometry.space_out.dim
-    t = ordered.matrix.reshape(d_rest, d_in, d_rest, d_in)
+    t = ordered.matrix.reshape(rest.dim, d_in, rest.dim, d_in)
     v = ch.isometry.matrix
     out = np.einsum("xa,iajb,yb->ixjy", v, t, v.conj(), optimize=True)
-    rest_space = ordered.space.restrict(rest_labels)
-    new_space = rest_space.tensor(ch.isometry.space_out) if rest_labels else ch.isometry.space_out
+    new_space = rest.tensor(ch.isometry.space_out)
     full = LabeledOperator.square(new_space, out.reshape(new_space.dim, new_space.dim))
     keep = [l for l in new_space.labels if l not in ch.environment_labels]
     if len(keep) < len(new_space.labels):

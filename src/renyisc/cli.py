@@ -250,17 +250,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    import numpy as np
-
-    from .spaces import LabeledOperator, SystemSpace
-
     ces = _harness.falsify_bound_comparison(args.trials, seed=args.seed)
     paths = []
     for ce in ces:
-        space = SystemSpace.of(("X", ce.joint.shape[0]), ("B", ce.joint.shape[1]))
-        state = LabeledOperator.square(space, np.diag(ce.joint.reshape(-1)).astype(complex))
         path = os.path.join(args.output_dir, f"counterexample-{ce.direction}.json")
-        _io.save_state(path, state)
+        _io.save_state(path, _harness.classical_state(ce.joint))
         paths.append(path)
     report = {
         "trials": args.trials,

@@ -360,6 +360,30 @@ def _split_bipartite(rho: LabeledOperator, b_labels) -> tuple[np.ndarray, int, i
     return ordered.matrix, d_a, d_b, a_labels, b_labels
 
 
+def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> OptimizedValue:
+    """min over sigma_B of D~_alpha(rho_AB || X_A (x) sigma_B), signed as the quantity.
+
+    X_A is rho_A for the mutual information and I_A for the conditional
+    entropy, whose value is the negated minimum.
+    """
+    alpha = float(alpha)
+    if alpha < 0.5:
+        what = "mutual information" if mutual else "conditional entropy"
+        raise UsageError(f"optimized {what} needs alpha >= 1/2, got {alpha}")
+    mat, d_a, d_b, _, b_labels = _split_bipartite(rho, labels)
+    b_space = rho.space.restrict(b_labels)
+    t = mat.reshape(d_a, d_b, d_a, d_b)
+    rho_a = np.trace(t, axis1=1, axis2=3) if mutual else None
+    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+        rho_b = np.trace(t, axis1=0, axis2=2)
+        s_ab, s_b = von_neumann_entropy_matrix(mat), von_neumann_entropy_matrix(rho_b)
+        value = von_neumann_entropy_matrix(rho_a) + s_b - s_ab if mutual else s_ab - s_b
+        return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
+    val, sigma, resid = _min_divergence(mat, d_a, d_b, rho_a, alpha, config, warm_starts)
+    return OptimizedValue(val if mutual else -val, LabeledOperator.square(b_space, sigma), resid,
+                          "lbfgs")
+
+
 def conditional_entropy(
     rho: LabeledOperator,
     given,
@@ -371,17 +395,7 @@ def conditional_entropy(
 
     ``given`` lists the conditioning labels B; A is everything else.
     """
-    alpha = float(alpha)
-    if alpha < 0.5:
-        raise UsageError(f"optimized conditional entropy needs alpha >= 1/2, got {alpha}")
-    mat, d_a, d_b, a_labels, b_labels = _split_bipartite(rho, given)
-    b_space = rho.space.restrict(b_labels)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        rho_b = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-        value = von_neumann_entropy_matrix(mat) - von_neumann_entropy_matrix(rho_b)
-        return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
-    val, sigma, resid = _min_divergence(mat, d_a, d_b, None, alpha, config, warm_starts)
-    return OptimizedValue(-val, LabeledOperator.square(b_space, sigma), resid, "lbfgs")
+    return _optimized(rho, given, alpha, config, warm_starts, mutual=False)
 
 
 def mutual_information(
@@ -395,22 +409,7 @@ def mutual_information(
 
     ``minimize_over`` lists the labels B carrying the optimized state.
     """
-    alpha = float(alpha)
-    if alpha < 0.5:
-        raise UsageError(f"optimized mutual information needs alpha >= 1/2, got {alpha}")
-    mat, d_a, d_b, a_labels, b_labels = _split_bipartite(rho, minimize_over)
-    b_space = rho.space.restrict(b_labels)
-    rho_a = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        rho_b = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-        value = (
-            von_neumann_entropy_matrix(rho_a)
-            + von_neumann_entropy_matrix(rho_b)
-            - von_neumann_entropy_matrix(mat)
-        )
-        return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
-    val, sigma, resid = _min_divergence(mat, d_a, d_b, rho_a, alpha, config, warm_starts)
-    return OptimizedValue(val, LabeledOperator.square(b_space, sigma), resid, "lbfgs")
+    return _optimized(rho, minimize_over, alpha, config, warm_starts, mutual=True)
 
 
 # ---------------------------------------------------------------------------

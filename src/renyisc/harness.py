@@ -308,6 +308,11 @@ def _constrained_pair(rng, d_a: int, d_b: int):
     return out[0], out[1]
 
 
+def _classical_mix(p, blocks) -> np.ndarray:
+    """sum_c p_c block_c (x) |c><c|, with the classical register last."""
+    return sum(pc * np.kron(b, np.diag(e)) for pc, b, e in zip(p, blocks, np.eye(len(p))))
+
+
 def _suite_fidelity_bounds(rng, dims, cfg):
     d_a, d_b = dims[0], dims[1]
     space = SystemSpace.of(("A", d_a), ("B", d_b))
@@ -351,17 +356,8 @@ def _suite_fidelity_bounds(rng, dims, cfg):
         blocks_r.append(rab)
         blocks_s.append(lam * rab + (1 - lam) * np.kron(ra, rb))
     space3 = SystemSpace.of(("A", d_a), ("B", d_b), ("C", d_c))
-    mr = np.zeros((d_a * d_b * d_c,) * 2, dtype=complex)
-    ms = np.zeros_like(mr)
-    for c in range(d_c):
-        for i in range(d_a * d_b):
-            for j in range(d_a * d_b):
-                ia = (i // d_b) * (d_b * d_c) + (i % d_b) * d_c + c
-                ja = (j // d_b) * (d_b * d_c) + (j % d_b) * d_c + c
-                mr[ia, ja] = p_c[c] * blocks_r[c][i, j]
-                ms[ia, ja] = p_c[c] * blocks_s[c][i, j]
-    rho3 = LabeledOperator.square(space3, mr)
-    sig3 = LabeledOperator.square(space3, ms)
+    rho3 = LabeledOperator.square(space3, _classical_mix(p_c, blocks_r))
+    sig3 = LabeledOperator.square(space3, _classical_mix(p_c, blocks_s))
     f3 = math.log2(max(fidelity(rho3, sig3), 1e-300))
     for a in (0.6, 0.75):
         b = alpha_params(a).beta
@@ -564,9 +560,15 @@ def falsify_bound_comparison(
     return out
 
 
-def _cross_check_fast_path(joint: np.ndarray, alpha: float, fast_value: float):
+def classical_state(joint: np.ndarray) -> LabeledOperator:
+    """The diagonal state sum p(x, b) |x><x| (x) |b><b| on (X, B)."""
+    joint = np.asarray(joint, dtype=float)
     space = SystemSpace.of(("X", joint.shape[0]), ("B", joint.shape[1]))
-    rho = LabeledOperator.square(space, np.diag(joint.reshape(-1)).astype(complex))
+    return LabeledOperator.square(space, np.diag(joint.reshape(-1)).astype(complex))
+
+
+def _cross_check_fast_path(joint: np.ndarray, alpha: float, fast_value: float):
+    rho = classical_state(joint)
     full = conditional_entropy(rho, ["B"], alpha, OptimizerConfig(starts=4)).value
     if abs(full - fast_value) > 1e-4:
         raise UsageError(
@@ -577,9 +579,7 @@ def _cross_check_fast_path(joint: np.ndarray, alpha: float, fast_value: float):
 
 def verify_counterexample(ce: Counterexample, margin: float = 1e-6) -> bool:
     """Recompute both sides with the strict density-matrix optimizer."""
-    joint = np.asarray(ce.joint, dtype=float)
-    space = SystemSpace.of(("X", joint.shape[0]), ("B", joint.shape[1]))
-    rho = LabeledOperator.square(space, np.diag(joint.reshape(-1)).astype(complex))
+    rho = classical_state(ce.joint)
     a = ce.alpha
     b = alpha_params(a).beta
     lhs = renyi_entropy(rho, a) - renyi_entropy(partial_trace(rho, {"B"}), b)
@@ -593,6 +593,15 @@ def verify_counterexample(ce: Counterexample, margin: float = 1e-6) -> bool:
 # protocol soundness sweeps
 
 
+def _redistribution_channels(rng, d_a: int, d_b: int, d_c: int, k: int, m: int, q: int):
+    """Random encoder {A, C, TA} -> {Cp, TAp, Q} and decoder {Q, B, TB} -> {TBp, Ap, Bp}."""
+    enc_in = SystemSpace.of(("A", d_a), ("C", d_c), ("TA", k))
+    enc = _random_channel(rng, enc_in, [("Cp", d_c), ("TAp", m), ("Q", q)], "E1")
+    dec_in = SystemSpace.of(("Q", q), ("B", d_b), ("TB", k))
+    dec = _random_channel(rng, dec_in, [("TBp", m), ("Ap", d_a), ("Bp", d_b)], "E2")
+    return [enc], [dec]
+
+
 def _random_redistribution_instance(rng, dims=(2, 2, 2), seed: int = 0):
     from .protocols import REDISTRIBUTION, ProtocolInstance
 
@@ -602,13 +611,9 @@ def _random_redistribution_instance(rng, dims=(2, 2, 2), seed: int = 0):
     k = int(rng.integers(1, 3))
     m = 1
     q = int(rng.integers(1, d_a * k + 1))
-    enc_in = SystemSpace.of(("A", d_a), ("C", d_c), ("TA", k))
-    enc = _random_channel(rng, enc_in, [("Cp", d_c), ("TAp", m), ("Q", q)], "E1")
-    dec_in = SystemSpace.of(("Q", q), ("B", d_b), ("TB", k))
-    dec = _random_channel(rng, dec_in, [("TBp", m), ("Ap", d_a), ("Bp", d_b)], "E2")
-    return ProtocolInstance(
-        REDISTRIBUTION, rho, registers={"k": k, "m": m, "q": q}, encoders=[enc], decoders=[dec]
-    )
+    encoders, decoders = _redistribution_channels(rng, d_a, d_b, d_c, k, m, q)
+    return ProtocolInstance(REDISTRIBUTION, rho, registers={"k": k, "m": m, "q": q},
+                            encoders=encoders, decoders=decoders)
 
 
 def check_protocol_bounds(
@@ -707,12 +712,9 @@ def _merging_instance(rng, rho, q: int, m: int):
     from . import protocols as prot
 
     d_a, d_b = rho.space.dim_of("A"), rho.space.dim_of("B")
-    enc_in = SystemSpace.of(("A", d_a), ("C", 1), ("TA", 1))
-    enc = _random_channel(rng, enc_in, [("Cp", 1), ("TAp", m), ("Q", q)], "E1")
-    dec_in = SystemSpace.of(("Q", q), ("B", d_b), ("TB", 1))
-    dec = _random_channel(rng, dec_in, [("TBp", m), ("Ap", d_a), ("Bp", d_b)], "E2")
+    encoders, decoders = _redistribution_channels(rng, d_a, d_b, 1, 1, m, q)
     return prot.specialize(
-        prot.MERGING, rho, {"k": 1, "m": m, "q": q}, encoders=[enc], decoders=[dec]
+        prot.MERGING, rho, {"k": 1, "m": m, "q": q}, encoders=encoders, decoders=decoders
     )
 
 
@@ -720,12 +722,9 @@ def _splitting_instance(rng, rho, q: int, k: int):
     from . import protocols as prot
 
     d_a, d_c = rho.space.dim_of("A"), rho.space.dim_of("C")
-    enc_in = SystemSpace.of(("A", d_a), ("C", d_c), ("TA", k))
-    enc = _random_channel(rng, enc_in, [("Cp", d_c), ("TAp", 1), ("Q", q)], "E1")
-    dec_in = SystemSpace.of(("Q", q), ("B", 1), ("TB", k))
-    dec = _random_channel(rng, dec_in, [("TBp", 1), ("Ap", d_a), ("Bp", 1)], "E2")
+    encoders, decoders = _redistribution_channels(rng, d_a, 1, d_c, k, 1, q)
     return prot.specialize(
-        prot.SPLITTING, rho, {"k": k, "m": 1, "q": q}, encoders=[enc], decoders=[dec]
+        prot.SPLITTING, rho, {"k": k, "m": 1, "q": q}, encoders=encoders, decoders=decoders
     )
 
 

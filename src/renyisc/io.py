@@ -130,27 +130,34 @@ def instance_from_dict(d: dict, where: str = "instance") -> ProtocolInstance:
         povm = tuple(matrix_from_json(e, f"{where}.povm[{i}]") for i, e in enumerate(povm))
     decoder_povms = d.get("decoder_povms")
     if decoder_povms is not None:
-        decoder_povms = {
-            int(c): {k: matrix_from_json(v, f"{where}.decoder_povms") for k, v in p.items()}
-            for c, p in decoder_povms.items()
-        }
-    return ProtocolInstance(
-        kind=kind,
-        input_state=state,
-        copies=int(d.get("copies", 1)),
-        registers=dict(d.get("registers", {})),
-        encoders=[
-            channel_from_dict(c, f"{where}.encoders[{i}]")
-            for i, c in enumerate(d.get("encoders", ()))
-        ],
-        decoders=[
-            channel_from_dict(c, f"{where}.decoders[{i}]")
-            for i, c in enumerate(d.get("decoders", ()))
-        ],
-        povm=povm,
-        e_table=d.get("e_table"),
-        decoder_povms=decoder_povms,
-    )
+        try:
+            decoder_povms = {
+                int(c): {k: matrix_from_json(v, f"{where}.decoder_povms") for k, v in p.items()}
+                for c, p in decoder_povms.items()
+            }
+        except (AttributeError, ValueError) as exc:
+            raise UsageError(f"malformed {where}.decoder_povms: expected "
+                             f"{{codeword index: {{input string: element}}}} ({exc})") from None
+    encoders = [
+        channel_from_dict(c, f"{where}.encoders[{i}]") for i, c in enumerate(d.get("encoders", ()))
+    ]
+    decoders = [
+        channel_from_dict(c, f"{where}.decoders[{i}]") for i, c in enumerate(d.get("decoders", ()))
+    ]
+    try:
+        return ProtocolInstance(
+            kind=kind,
+            input_state=state,
+            copies=d.get("copies", 1),
+            registers=d.get("registers", {}),
+            encoders=encoders,
+            decoders=decoders,
+            povm=povm,
+            e_table=d.get("e_table"),
+            decoder_povms=decoder_povms,
+        )
+    except UsageError as exc:
+        raise UsageError(f"malformed {where}: {exc}") from None
 
 
 def dump_json(obj) -> str:

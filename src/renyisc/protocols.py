@@ -11,14 +11,18 @@ Canonical register labels (a trailing ``p`` marks a primed output system):
 * randomness extraction / data compression: classical-quantum input on
   (X, B) with a classical encoding table on n-fold strings.
 
-Redistribution and its specializations run on state vectors: every
-channel is a Stinespring isometry, its environment is kept rather than
-traced out, and the merit against the pure target is an overlap norm.
-Measurement compression runs on density matrices, since its ideal state
-is mixed.  The n-fold string ensembles are summed one codeword class at a
-time from a stacked table of (n-1)-fold prefix products, and data
-compression scores the pretty-good decoder from those sums without forming
-its POVM (``pretty_good_decoder`` is the reference construction).
+The five channel kinds (redistribution, its specializations and feedback,
+and measurement compression) run on state vectors: every channel is a
+Stinespring isometry and its environment is kept rather than traced out,
+so a state is a factor M with rho = M M^dagger.  Mixed states are factors
+too (the shared randomness, the measured ideal state), and the merit of
+rho = A A^dagger against sigma = B B^dagger is F = ||B^dagger A||_1, which
+for a pure target is an overlap norm.  Systems the merit does not use are
+folded into the environment.  The n-fold string ensembles are summed one
+codeword class at a time from a stacked table of (n-1)-fold prefix
+products, and data compression scores the pretty-good decoder from those
+sums without forming its POVM (``pretty_good_decoder`` is the reference
+construction).
 """
 
 from __future__ import annotations
@@ -29,16 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelSpec, apply_channels, measurement_channel
+from .channels import ChannelSpec, bystander_space, check_povm, measurement_channel
 from .errors import BudgetExceededError, DimensionMismatchError, UsageError
 from .entropies import conditional_entropy
-from .linalg import _kron, fidelity, fractional_power_matrix, purification_vector, purify
-from .spaces import (
-    LabeledOperator,
-    SystemSpace,
-    partial_trace,
-    permute_systems,
-)
+from .linalg import _kron, fractional_power_matrix, purification_vector, trace_norm
+from .spaces import LabeledOperator, SystemSpace, permute_systems
 
 DIM_BUDGET = 4096
 
@@ -60,6 +59,36 @@ KINDS = (
     DATA_COMPRESSION,
 )
 
+# (required, optional) registers of each kind; "forward" and "backward" are
+# lists of sizes, every other register is one size
+_REGISTERS = {
+    **dict.fromkeys((REDISTRIBUTION, MERGING, SPLITTING), (("q",), ("k", "m"))),
+    FEEDBACK: (("forward",), ("backward", "k", "m")),
+    MEASUREMENT_COMPRESSION: (("l",), ("ma",)),
+    RANDOMNESS_EXTRACTION: (("z",), ()),
+    DATA_COMPRESSION: (("c",), ()),
+}
+
+
+def _size(value, name: str) -> int:
+    try:
+        size = int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if size < 1:
+        raise UsageError(f"{name} must be >= 1, got {size}")
+    return size
+
+
+def _check_register(name: str, value):
+    if name not in ("forward", "backward"):
+        _size(value, f"register {name!r}")
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _size(v, f"register {name!r} entry")
+    else:
+        raise UsageError(f"register {name!r} must be a list of sizes, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ProtocolInstance:
@@ -76,10 +105,31 @@ class ProtocolInstance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UsageError(f"unknown protocol kind {self.kind!r}")
-        if self.copies < 1:
-            raise UsageError("copies must be >= 1")
+        object.__setattr__(self, "copies", _size(self.copies, "copies"))
         object.__setattr__(self, "encoders", tuple(self.encoders))
         object.__setattr__(self, "decoders", tuple(self.decoders))
+        if not isinstance(self.registers, dict):
+            raise UsageError(f"registers must map names to sizes, got {self.registers!r}")
+        required, optional = _REGISTERS[self.kind]
+        for name in required + optional:
+            if name in self.registers:
+                _check_register(name, self.registers[name])
+            elif name in required:
+                raise UsageError(f"{self.kind} needs the register {name!r}")
+        if self.kind in (RANDOMNESS_EXTRACTION, DATA_COMPRESSION):
+            self._check_tables()
+
+    def _check_tables(self):
+        if not isinstance(self.e_table, dict):
+            raise UsageError(f"{self.kind} needs an e_table from input strings to codewords, "
+                             f"got {self.e_table!r}")
+        if self.kind != DATA_COMPRESSION or self.decoder_povms is None:
+            return
+        per_copy = int(self.registers["c"])
+        codes = _codes(self.e_table, self.input_state.space.dims[0], per_copy, self.copies)
+        missing = sorted(set(codes.tolist()) - set(self.decoder_povms))
+        if missing:
+            raise UsageError(f"decoder_povms has no POVM for codeword {missing[0]}")
 
 
 @dataclass(frozen=True)
@@ -220,24 +270,13 @@ def _class_sum(members, probs, prefixes, states) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state redistribution and specializations
-
-
-def _check_labels(final_labels, target_labels):
-    if set(final_labels) != set(target_labels):
-        raise UsageError(f"final labels {final_labels} do not match target {target_labels}")
+# state vectors for the channel protocols
 
 
 def _snap(f: float) -> float:
     f = min(max(f, 0.0), 1.0)
     # a perfect protocol must score exactly 1; absorb rounding noise
     return 1.0 if f > 1.0 - 1e-12 else f
-
-
-def _merit_against(final: LabeledOperator, target: LabeledOperator) -> float:
-    """F(final, target) for a mixed target."""
-    _check_labels(final.space.labels, target.space.labels)
-    return _snap(fidelity(permute_systems(final, list(target.space.labels)), target))
 
 
 @dataclass(frozen=True)
@@ -264,8 +303,28 @@ class _PureState:
         perm = [space.position(l) for l in order] + [len(space.dims)]
         return self.m.reshape(space.dims + (-1,)).transpose(perm).reshape(self.m.shape)
 
+    def keep(self, labels) -> "_PureState":
+        """The same |Psi> with every system outside ``labels`` moved into the environment."""
+        kept = self.space.restrict(labels)
+        gone = [l for l in self.space.labels if not kept.has(l)]
+        return _PureState(kept, _fold(self.rows(kept.labels + tuple(gone)).reshape(kept.dim, -1)))
+
     def density(self) -> LabeledOperator:
         return LabeledOperator.square(self.space, self.m @ self.m.conj().T)
+
+
+def _merit(state: _PureState, target: _PureState) -> float:
+    """F(rho, sigma) = ||B^dagger A||_1 for rho = A A^dagger, sigma = B B^dagger.
+
+    The rows of A are put in the label order of B first.  For a pure
+    target (one column b) this is the overlap norm ||b^dagger A||.
+    """
+    labels = target.space.labels
+    if set(state.space.labels) != set(labels):
+        raise UsageError(f"final labels {state.space.labels} do not match target {labels}")
+    if state.space.reorder(labels) != target.space:
+        raise DimensionMismatchError("final and target dimensions differ")
+    return _snap(trace_norm(target.m.conj().T @ state.rows(labels)))
 
 
 def _purified(rho: LabeledOperator, extra: int) -> _PureState:
@@ -305,15 +364,7 @@ def _apply_isometry(ch: ChannelSpec, state: _PureState) -> _PureState:
     """
     space, v = state.space, ch.isometry
     ins = list(ch.input_labels)
-    for l in ins:
-        if not space.has(l):
-            raise UsageError(f"channel input {l!r} missing from state {space.labels}")
-        if space.dim_of(l) != v.space_in.dim_of(l):
-            raise DimensionMismatchError(f"dimension mismatch on channel input {l!r}")
-    rest = space.restrict(set(space.labels) - set(ins))
-    clash = set(rest.labels) & set(v.space_out.labels)
-    if clash:
-        raise UsageError(f"channel output labels {sorted(clash)} clash with state")
+    rest = bystander_space(ch, space)
     outs = v.space_out.subsystems
     keep = [i for i, (l, _) in enumerate(outs) if l not in ch.environment_labels]
     env = [i for i, (l, _) in enumerate(outs) if l in ch.environment_labels]
@@ -328,22 +379,26 @@ def _apply_isometry(ch: ChannelSpec, state: _PureState) -> _PureState:
     return _PureState(new_space, _fold(t.reshape(new_space.dim, -1)))
 
 
-def _run_isometric(rho: LabeledOperator, k: int, m: int, steps):
-    """(final state, merit) of ``steps`` (channel, allowed inputs or None) on |psi>|Phi_k>.
-
-    The merit against the pure target psi (x) Phi_m is
-    F = ||(<target| (x) I_E)|Psi>||.
-    """
-    psi = _purified(rho, k * k)
-    state = psi.tensor(_mes(k, "TA", "TB"))
+def _run_channels(state: _PureState, steps) -> _PureState:
+    """``state`` after ``steps``: (channel, allowed inputs or None) in order."""
     for ch, allowed in steps:
-        if allowed is not None:
-            _check_wiring(ch, allowed, state.space)
+        inputs = set(ch.input_labels)
+        if allowed is not None and not inputs <= allowed:
+            raise UsageError(f"channel inputs {sorted(inputs)} outside allowed {sorted(allowed)}")
         state = _apply_isometry(ch, state)
+    return state
+
+
+def _run_isometric(rho: LabeledOperator, k: int, m: int, steps):
+    """(final state, merit) of ``steps`` on |psi>|Phi_k>, against psi (x) Phi_m."""
+    psi = _purified(rho, k * k)
+    state = _run_channels(psi.tensor(_mes(k, "TA", "TB")), steps)
     target = psi.rename({"A": "Ap", "B": "Bp", "C": "Cp"}).tensor(_mes(m, "TAp", "TBp"))
-    _check_labels(state.space.labels, target.space.labels)
-    overlap = target.m[:, 0].conj() @ state.rows(target.space.labels)
-    return state.density(), _snap(float(np.linalg.norm(overlap)))
+    return state.density(), _merit(state, target)
+
+
+# ---------------------------------------------------------------------------
+# state redistribution and specializations
 
 
 def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
@@ -363,21 +418,6 @@ def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
         costs["q_qss"] = costs["q"]
         costs["e_qss"] = costs["e"]
     return ProtocolOutcome(final, merit, costs)
-
-
-def _apply(ch: ChannelSpec, state: LabeledOperator) -> LabeledOperator:
-    out = apply_channels([ch], state)
-    _check_budget(out.space.dim)
-    return out
-
-
-def _check_wiring(ch: ChannelSpec, allowed: set, space: SystemSpace):
-    inputs = set(ch.input_labels)
-    if not inputs <= allowed:
-        raise UsageError(f"channel inputs {sorted(inputs)} outside allowed {sorted(allowed)}")
-    missing = inputs - set(space.labels)
-    if missing:
-        raise UsageError(f"channel inputs {sorted(missing)} absent from state")
 
 
 def specialize(kind: str, input_state: LabeledOperator, registers: dict,
@@ -452,24 +492,26 @@ def run_feedback_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
 # measurement compression with quantum side information
 
 
+def _shared_randomness(size: int) -> _PureState:
+    """sum_i |ii><ii| / size on (MA, MB); the environment column holds a third copy of i."""
+    m = np.zeros((size * size, size), dtype=complex)
+    m[np.arange(size) * (size + 1), np.arange(size)] = 1.0 / math.sqrt(size)
+    return _PureState(SystemSpace.of(("MA", size), ("MB", size)), m)
+
+
 def uniform_shared_randomness(size: int) -> LabeledOperator:
-    space = SystemSpace.of(("MA", size), ("MB", size))
-    m = np.zeros((size * size, size * size), dtype=complex)
-    for i in range(size):
-        idx = i * size + i
-        m[idx, idx] = 1.0 / size
-    return LabeledOperator.square(space, m)
+    return _shared_randomness(size).density()
 
 
-def _measured(psi: LabeledOperator, povm) -> LabeledOperator:
+def _measured(psi: _PureState, povm) -> _PureState:
     """The measurement channel on A of the purified input ``psi``."""
     ch = measurement_channel(povm, psi.space.restrict({"A"}), "X", "Xp", "Em")
-    return apply_channels([ch], psi)
+    return _apply_isometry(ch, psi)
 
 
 def ideal_measurement_state(rho_ab: LabeledOperator, povm) -> LabeledOperator:
     """Apply the measurement channel to A of the purified input."""
-    return _measured(purify(rho_ab, "R"), povm)
+    return _measured(_purified(rho_ab, 1), povm).density()
 
 
 def run_measurement_compression(inst: ProtocolInstance) -> ProtocolOutcome:
@@ -477,24 +519,15 @@ def run_measurement_compression(inst: ProtocolInstance) -> ProtocolOutcome:
         raise UsageError(f"expected a measurement-compression instance, got {inst.kind!r}")
     if inst.povm is None:
         raise UsageError("measurement compression needs a POVM")
-    povm = [np.asarray(e, dtype=complex) for e in inst.povm]
-    total = np.sum(povm, axis=0)
-    if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-8:
-        raise UsageError("POVM elements do not sum to the identity")
     regs = inst.registers
     l_size, ma_size = int(regs["l"]), int(regs.get("ma", 1))
-    psi = _purified(inst.input_state, ma_size * ma_size).density()
-    ideal = _measured(psi, povm)
-    state = psi.tensor(uniform_shared_randomness(ma_size))
-    for ch in inst.encoders:
-        _check_wiring(ch, {"A", "MA"}, state.space)
-        state = _apply(ch, state)
-    for ch in inst.decoders:
-        _check_wiring(ch, {"L", "B", "MB"}, state.space)
-        state = _apply(ch, state)
-    state = partial_trace(state, {"R", "Xb", "Xh", "Bp"})
-    final = state.rename({"Xb": "X", "Xh": "Xp", "Bp": "B"})
-    merit = _merit_against(final, permute_systems(ideal, list(final.space.labels)))
+    psi = _purified(inst.input_state, ma_size * ma_size)
+    ideal = _measured(psi, [np.asarray(e, dtype=complex) for e in inst.povm])
+    steps = [(ch, {"A", "MA"}) for ch in inst.encoders]
+    steps += [(ch, {"L", "B", "MB"}) for ch in inst.decoders]
+    state = _run_channels(psi.tensor(_shared_randomness(ma_size)), steps)
+    state = state.keep({"R", "Xb", "Xh", "Bp"}).rename({"Xb": "X", "Xh": "Xp", "Bp": "B"})
+    final, merit = state.density(), _merit(state, ideal)
     n = inst.copies
     costs = {"c": _log2_int(l_size) / n, "r": _log2_int(ma_size) / n}
     return ProtocolOutcome(final, merit, costs)
@@ -530,8 +563,6 @@ def run_randomness_extraction(inst: ProtocolInstance) -> ProtocolOutcome:
         raise UsageError(f"expected a randomness-extraction instance, got {inst.kind!r}")
     p, states = cq_components(inst.input_state)
     n = inst.copies
-    if "z" not in inst.registers:
-        raise UsageError("registers must carry the per-copy output size 'z'")
     z_per_copy = int(inst.registers["z"])
     z_size = z_per_copy**n
     db = states[0].shape[0]
@@ -607,8 +638,6 @@ def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
         raise UsageError(f"expected a data-compression instance, got {inst.kind!r}")
     p, states = cq_components(inst.input_state)
     n = inst.copies
-    if "c" not in inst.registers:
-        raise UsageError("registers must carry the per-copy codebook size 'c'")
     c_per_copy = int(inst.registers["c"])
     c_size = c_per_copy**n
     db = states[0].shape[0]
@@ -623,9 +652,7 @@ def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
             continue
         c = int(codes[members[0]])
         povm = {k: np.asarray(v, dtype=complex) for k, v in inst.decoder_povms[c].items()}
-        total = np.sum(list(povm.values()), axis=0)
-        if np.max(np.abs(total - np.eye(db**n))) > 1e-8:
-            raise UsageError(f"decoder POVM for codeword {c} is incomplete")
+        check_povm(list(povm.values()), db**n, f"decoder POVM for codeword {c} is incomplete")
         for i in members:
             elem = povm.get(_string_key(np.unravel_index(i, (x,) * n)))
             if elem is not None:

@@ -104,25 +104,3 @@ def random_classical_state(
     space = SystemSpace.of((x_label, x_dim), (b_label, b_dim))
     return LabeledOperator.square(space, np.diag(p.astype(complex)))
 
-
-def random_ensemble(kind: str, dims, seed: int, **params):
-    """Dispatch by kind: state | pure-state | isometry | povm | cq-state."""
-    if kind == "state":
-        space = SystemSpace.of(*dims) if isinstance(dims[0], tuple) else SystemSpace.of(("A", int(dims[0])))
-        return random_state(space, seed, rank=params.get("rank"))
-    if kind == "pure-state":
-        space = SystemSpace.of(*dims) if isinstance(dims[0], tuple) else SystemSpace.of(("A", int(dims[0])))
-        return random_pure_state(space, seed)
-    if kind == "isometry":
-        dim_out, dim_in = dims
-        rng = generator(seed)
-        m = haar_isometry_matrix(rng, dim_out, dim_in)
-        return LabeledOperator(
-            SystemSpace.of(("out", dim_out)), SystemSpace.of(("in", dim_in)), m
-        )
-    if kind == "povm":
-        return random_povm(int(dims[0]), int(params.get("outcomes", 2)), seed)
-    if kind == "cq-state":
-        x_dim, b_dim = dims
-        return random_cq_state(int(x_dim), int(b_dim), seed)
-    raise UsageError(f"unknown ensemble kind {kind!r}")

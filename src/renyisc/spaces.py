@@ -126,10 +126,6 @@ class LabeledOperator:
         return self.space_out
 
     @property
-    def is_square(self) -> bool:
-        return self.space_out == self.space_in
-
-    @property
     def labels(self) -> tuple[str, ...]:
         return self.space.labels
 
@@ -146,12 +142,6 @@ class LabeledOperator:
             np.kron(self.matrix, other.matrix),
         )
 
-    def compose(self, other: "LabeledOperator") -> "LabeledOperator":
-        """Matrix product self @ other; input space of self must match."""
-        if self.space_in.dims != other.space_out.dims:
-            raise DimensionMismatchError("composition dimension mismatch")
-        return LabeledOperator(self.space_out, other.space_in, self.matrix @ other.matrix)
-
     def rename(self, mapping: dict) -> "LabeledOperator":
         return LabeledOperator(
             self.space_out.rename(mapping), self.space_in.rename(mapping), self.matrix
@@ -163,15 +153,6 @@ class LabeledOperator:
     def min_eigenvalue(self) -> float:
         h = (self.matrix + self.matrix.conj().T) / 2
         return float(np.linalg.eigvalsh(h)[0])
-
-    def is_density(self, tol: float = TRACE_TOL) -> bool:
-        if not self.is_square:
-            return False
-        if self.hermiticity_defect() > HERMITICITY_TOL:
-            return False
-        if self.min_eigenvalue() < -PSD_TOL:
-            return False
-        return abs(self.trace() - 1.0) <= tol
 
 
 def density_operator(space: SystemSpace, matrix) -> LabeledOperator:

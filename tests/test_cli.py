@@ -216,3 +216,74 @@ def test_exponent_curve_non_cq_state_exits_2(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not classical on its first register" in captured.err
+
+
+def _instance_dict(kind):
+    """A valid instance of ``kind`` as its JSON object."""
+    from renyisc.harness import _random_measurement_compression, random_feedback_instance
+    from renyisc.protocols import DATA_COMPRESSION
+    from renyisc.random_ensembles import generator
+
+    if kind == "redistribution":
+        rho = random_state(SystemSpace.of(("A", 2), ("B", 2), ("C", 2)), seed=5)
+        inst = ProtocolInstance(REDISTRIBUTION, rho, registers={"k": 1, "m": 1, "q": 2})
+    elif kind == "measurement-compression":
+        inst = _random_measurement_compression(generator(3), 3)[0]
+    elif kind == "feedback":
+        inst = random_feedback_instance(generator(5), rounds=2)
+    else:
+        inst = ProtocolInstance(
+            DATA_COMPRESSION, random_cq_state(2, 2, seed=11), registers={"c": 1},
+            e_table={"0": "0", "1": "0"},
+            decoder_povms={0: {"0": np.eye(2) / 2, "1": np.eye(2) / 2}},
+        )
+    return rio.instance_to_dict(inst)
+
+
+def _drop(*path):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        del d[path[-1]]
+    return edit
+
+
+def _put(value, *path):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return edit
+
+
+def _rekey(new):
+    def edit(d):
+        d["decoder_povms"] = {new: d["decoder_povms"]["0"]}
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, field",
+    [
+        pytest.param("redistribution", _drop("registers", "q"), "'q'", id="missing-q"),
+        pytest.param("measurement-compression", _drop("registers", "l"), "'l'", id="missing-l"),
+        pytest.param("feedback", _drop("registers", "forward"), "'forward'", id="missing-forward"),
+        pytest.param("redistribution", _put("x", "copies"), "copies", id="copies-x"),
+        pytest.param("redistribution", _put("two", "registers", "k"), "'k'", id="k-two"),
+        pytest.param("redistribution", _put([2], "registers"), "registers", id="registers-list"),
+        pytest.param("compression", _drop("e_table"), "e_table", id="missing-e-table"),
+        pytest.param("compression", _put([["0", "0"]], "e_table"), "e_table", id="e-table-list"),
+        pytest.param("compression", _rekey("x"), "decoder_povms", id="decoder-key-x"),
+        pytest.param("compression", _rekey("1"), "codeword 0", id="decoder-missing-codeword"),
+    ],
+)
+def test_simulate_malformed_instance_exits_2(tmp_path, capsys, kind, edit, field):
+    d = _instance_dict(kind)
+    edit(d)
+    path = tmp_path / "instance.json"
+    path.write_text(rio.dump_json(d))
+    assert main(["simulate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert field in captured.err

@@ -436,6 +436,91 @@ def test_measurement_compression_lossless_classical_channel():
     assert out.merit > 1.0 - 1e-8
 
 
+def _shared_randomness_dense(ma):
+    space = SystemSpace.of(("MA", ma), ("MB", ma))
+    return LabeledOperator.square(space, np.diag(np.eye(ma).reshape(-1)).astype(complex) / ma)
+
+
+def _dense_measurement_compression(inst):
+    """(final, ideal, merit) on density matrices through the public apply_channels and fidelity."""
+    from renyisc.channels import measurement_channel
+
+    psi = purify(inst.input_state, "R")
+    povm = [np.asarray(e, dtype=complex) for e in inst.povm]
+    ideal = apply_channels([measurement_channel(povm, psi.space.restrict({"A"}))], psi)
+    start = psi.tensor(_shared_randomness_dense(int(inst.registers.get("ma", 1))))
+    final = apply_channels(list(inst.encoders) + list(inst.decoders), start)
+    final = partial_trace(final, {"R", "Xb", "Xh", "Bp"})
+    final = final.rename({"Xb": "X", "Xh": "Xp", "Bp": "B"})
+    return final, ideal, fidelity(permute_systems(final, list(ideal.space.labels)), ideal)
+
+
+def _random_mc_with_shared_randomness(seed, decoder_inputs):
+    """|A| = |B| = 2, 3 outcomes, l = 2, ma = 2, Haar encoder and decoder."""
+    from renyisc.random_ensembles import random_povm
+
+    rng = generator(seed)
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=seed)
+    enc = _random_channel(rng, SystemSpace.of(("A", 2), ("MA", 2)), [("Xb", 3), ("L", 2)], "E1")
+    dec_in = SystemSpace(tuple((l, 2) for l in decoder_inputs))
+    dec = _random_channel(rng, dec_in, [("Xh", 3), ("Bp", 2)], "E2")
+    return ProtocolInstance(
+        MEASUREMENT_COMPRESSION, rho, registers={"l": 2, "ma": 2}, encoders=[enc],
+        decoders=[dec], povm=tuple(random_povm(2, 3, seed=seed)),
+    )
+
+
+_MC_CASES = {
+    **{f"harness-{seed}": (lambda s=seed: _random_measurement_compression(generator(s), s)[0])
+       for seed in (0, 3, 4, 7)},
+    "shared-randomness": lambda: _random_mc_with_shared_randomness(31, ("L", "B", "MB")),
+    "mb-unconsumed": lambda: _random_mc_with_shared_randomness(32, ("L", "B")),
+}
+
+
+@pytest.mark.parametrize("case", list(_MC_CASES))
+def test_measurement_compression_matches_dense_reference(case, monkeypatch):
+    from renyisc import protocols
+
+    inst = _MC_CASES[case]()
+    kept = []
+    keep = protocols._PureState.keep
+
+    def recording(self, labels):
+        kept.append(set(self.space.labels) - set(labels))
+        return keep(self, labels)
+
+    monkeypatch.setattr(protocols._PureState, "keep", recording)
+    out = run_measurement_compression(inst)
+    # only the unconsumed MB is left to fold into the environment
+    assert kept == [{"MB"} if case == "mb-unconsumed" else set()]
+    final, ideal, merit = _dense_measurement_compression(inst)
+    assert 0.0 < out.merit
+    assert_allclose(out.merit, merit, atol=1e-12)
+    got = permute_systems(out.final_state, list(final.space.labels))
+    assert_allclose(got.matrix, final.matrix, atol=1e-12)
+    got = ideal_measurement_state(inst.input_state, inst.povm)
+    assert got.space == ideal.space
+    assert_allclose(got.matrix, ideal.matrix, atol=1e-12)
+
+
+def test_measurement_compression_rejects_incomplete_povm():
+    inst = _random_measurement_compression(generator(3), 3)[0]
+    bad = dataclasses.replace(inst, povm=(inst.povm[0], 0.5 * inst.povm[1]))
+    with pytest.raises(UsageError, match="do not sum to the identity"):
+        run_measurement_compression(bad)
+
+
+def test_data_compression_incomplete_decoder_names_codeword():
+    cq = random_cq_state(2, 2, seed=11)
+    inst = ProtocolInstance(
+        DATA_COMPRESSION, cq, registers={"c": 1}, e_table={"0": "0", "1": "0"},
+        decoder_povms={0: {"0": np.eye(2) / 2, "1": np.eye(2) / 4}},
+    )
+    with pytest.raises(UsageError, match="codeword 0 is incomplete"):
+        run_data_compression(inst)
+
+
 def test_measurement_compression_decomposes_input_once(monkeypatch):
     from renyisc import linalg
 
