@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .entropies import (
+    DEFAULT_CONFIG,
     OptimizerConfig,
     alpha_params,
     conditional_entropy,
@@ -39,7 +40,6 @@ from .protocols import (
 )
 from .spaces import LabeledOperator, partial_trace
 
-BOUND_CONFIG = OptimizerConfig(starts=3)
 DEFAULT_GRID = tuple(np.linspace(0.51, 0.99, 25))
 
 # the rates (in bits per copy) that the bounds of each protocol kind compare against
@@ -88,8 +88,7 @@ class _BoundEvaluator:
     minimizer found at the previous grid point.
     """
 
-    def __init__(self, kind: str, state: LabeledOperator, rates: dict,
-                 config: OptimizerConfig = BOUND_CONFIG):
+    def __init__(self, kind: str, state: LabeledOperator, rates: dict, config: OptimizerConfig):
         self.kind = kind
         self.state = state
         self.rates = dict(rates)
@@ -235,15 +234,21 @@ def _check_alpha(alpha: float):
         raise UsageError(f"converse bounds require alpha in (1/2, 1), got {alpha}")
 
 
+def _check_copies(copies: int):
+    if copies < 1:
+        raise UsageError(f"converse bounds require copies >= 1, got {copies}")
+
+
 def converse_bound(
     kind: str,
     state: LabeledOperator,
     rates: dict,
     alpha: float,
     copies: int = 1,
-    config: OptimizerConfig = BOUND_CONFIG,
+    config: OptimizerConfig = DEFAULT_CONFIG,
 ) -> BoundReport:
     _check_alpha(alpha)
+    _check_copies(copies)
     ev = _BoundEvaluator(kind, state, rates, config)
     return BoundReport(kind, copies, tuple(ev.entries(alpha, copies)))
 
@@ -254,11 +259,12 @@ def exponent_curve(
     rates: dict,
     alphas=None,
     copies: int = 1,
-    config: OptimizerConfig = BOUND_CONFIG,
+    config: OptimizerConfig = DEFAULT_CONFIG,
 ) -> ExponentCurve:
     alphas = tuple(DEFAULT_GRID if alphas is None else alphas)
     for a in alphas:
         _check_alpha(a)
+    _check_copies(copies)
     ev = _BoundEvaluator(kind, state, rates, config)
     grouped: dict[str, list[BoundEntry]] = {}
     for a in sorted(alphas):
@@ -332,7 +338,7 @@ def vn_limit_check(
     kind: str,
     state: LabeledOperator,
     eps: float,
-    config: OptimizerConfig = BOUND_CONFIG,
+    config: OptimizerConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Gap between each Renyi expression at alpha = 1 - eps and its limit.
 

@@ -75,6 +75,22 @@ def _parse_rates(spec: str) -> dict:
     return rates
 
 
+def _parse_dims(args):
+    """``--dims`` checked against ``--suite``, or None for the suite's default."""
+    if args.dims is None:
+        return None
+    if args.suite in (None, "all"):
+        raise UsageError("--dims needs a single --suite (not all, not --protocol)")
+    try:
+        dims = [int(d) for d in args.dims.split(",")]
+    except ValueError:
+        raise UsageError(f"--dims must be comma-separated integers, got {args.dims!r}")
+    try:
+        return _harness.suite_dims(args.suite, dims)
+    except UsageError as exc:
+        raise UsageError(f"--dims: {exc}") from None
+
+
 def _labels(spec: str) -> list:
     return [s for s in spec.split(",") if s]
 
@@ -227,7 +243,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else None
+    dims = _parse_dims(args)
     if args.protocol:
         report = _harness.check_protocol_bounds(
             args.protocol, args.trials, seed=args.seed, alphas=_parse_grid(args.grid)
@@ -285,6 +301,12 @@ def _check_args(args):
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
+    copies = getattr(args, "copies", None)
+    if copies is not None and copies < 1:
+        raise UsageError(f"--copies must be >= 1, got {copies}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise UsageError(f"--tol must be finite and >= 0, got {tol}")
 
 
 _COMMANDS = {

@@ -7,6 +7,10 @@ sigma = L L† / tr(L L†), L complex lower-triangular, with analytic
 gradients.  The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi), so
 the descent stops at the first start (warm start, then rho_B, then seeded
 random ones) whose gradient residual meets ``OptimizerConfig.tol``.
+``OptimizerConfig`` holds the only two settings a caller can change, the
+residual ``tol`` and the cap on ``starts`` (3 by default); L-BFGS-B's own
+stopping rules, its iteration cap and the seed of the random starts are
+fixed constants of this module.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ def alpha_params(alpha: float) -> AlphaParams:
     beta = alpha / (2.0 * alpha - 1.0)
     kappa = (1.0 - alpha) / (2.0 * alpha)
     return AlphaParams(alpha, beta, kappa)
-
-
-def conjugate_order(alpha: float) -> float:
-    return alpha_params(alpha).beta
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +169,17 @@ class OptimizerConfig:
     value seen is returned.
     """
 
-    starts: int = 8
-    gtol: float = 1e-9
-    ftol: float = 1e-13
-    maxiter: int = 10000
-    seed: int = 0
+    starts: int = 3
     tol: float = 1e-6
 
 
 DEFAULT_CONFIG = OptimizerConfig()
+
+# L-BFGS-B stopping rules and iteration cap, and the seed of the random starts
+_GTOL = 1e-9
+_FTOL = 1e-13
+_MAXITER = 10000
+_START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,7 @@ def _min_divergence(
     """
     objective = _divergence_objective(rho_ab, d_a, d_b, a_factor, alpha)
     idx = _tril_indices(d_b)
-    rng = generator(config.seed)
+    rng = generator(_START_SEED)
     starts: list[np.ndarray] = []
     for sigma0 in warm_starts:
         starts.append(np.asarray(sigma0, dtype=complex))
@@ -328,11 +330,7 @@ def _min_divergence(
             _pack_l(l0, idx),
             jac=True,
             method="L-BFGS-B",
-            options={
-                "maxiter": config.maxiter,
-                "ftol": config.ftol,
-                "gtol": config.gtol,
-            },
+            options={"maxiter": _MAXITER, "ftol": _FTOL, "gtol": _GTOL},
         )
         gnorm = float(np.max(np.abs(res.jac)))
         converged = gnorm <= config.tol and np.isfinite(res.fun) and res.fun != _FAILED

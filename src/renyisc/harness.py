@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import ChannelSpec, apply_channels
 from .entropies import (
-    OptimizerConfig,
     alpha_params,
     classical_conditional_entropy,
     classical_renyi_entropy,
@@ -47,7 +46,6 @@ from .spaces import (
     permute_systems,
 )
 
-SUITE_CONFIG = OptimizerConfig(starts=3)
 CLOSED_FORM_TOL = 1e-8
 OPTIMIZER_TOL = 1e-6
 
@@ -136,7 +134,7 @@ def _random_channel(rng, space_in: SystemSpace, outputs, env_label: str) -> Chan
 # individual suites; each yields (check name, margin, values)
 
 
-def _suite_holder(rng, dims, cfg):
+def _suite_holder(rng, dims):
     d = dims[0]
     m = ginibre(rng, d, d)
     n = ginibre(rng, d, d)
@@ -147,7 +145,7 @@ def _suite_holder(rng, dims, cfg):
         yield f"holder-p{p}", lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}
 
 
-def _suite_mccarthy(rng, dims, cfg):
+def _suite_mccarthy(rng, dims):
     d = dims[0]
     m = random_state_matrix(rng, d) * rng.uniform(0.5, 2.0)
     n = random_state_matrix(rng, d) * rng.uniform(0.5, 2.0)
@@ -161,7 +159,7 @@ def _suite_mccarthy(rng, dims, cfg):
         yield f"mccarthy-super-p{p}", lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}
 
 
-def _suite_divergence_monotonicity(rng, dims, cfg):
+def _suite_divergence_monotonicity(rng, dims):
     space = SystemSpace.of(("A", dims[0]))
     rho = _state(rng, space)
     sigma = _state(rng, space)
@@ -171,7 +169,7 @@ def _suite_divergence_monotonicity(rng, dims, cfg):
         yield f"monotone-{a1}-{a2}", v2 - v1, {"alpha": a1, "alpha'": a2, "D": v1, "D'": v2}
 
 
-def _suite_entropy_bounds(rng, dims, cfg):
+def _suite_entropy_bounds(rng, dims):
     d = dims[0]
     space = SystemSpace.of(("A", d))
     rho = _state(rng, space)
@@ -184,7 +182,7 @@ def _suite_entropy_bounds(rng, dims, cfg):
         yield f"pure-a{a}", -abs(renyi_entropy(pure, a)), {"alpha": a}
 
 
-def _suite_additivity(rng, dims, cfg):
+def _suite_additivity(rng, dims):
     d1, d2 = dims[0], dims[1]
     s1, s2 = SystemSpace.of(("A", d1)), SystemSpace.of(("B", d2))
     r1, r2 = _state(rng, s1), _state(rng, s2)
@@ -199,7 +197,7 @@ def _suite_additivity(rng, dims, cfg):
         yield f"ent-add-a{a}", -abs(se), {"alpha": a, "defect": se}
 
 
-def _suite_isometric_invariance(rng, dims, cfg):
+def _suite_isometric_invariance(rng, dims):
     d = dims[0]
     space = SystemSpace.of(("A", d))
     rho, sigma = _state(rng, space), _state(rng, space)
@@ -214,7 +212,7 @@ def _suite_isometric_invariance(rng, dims, cfg):
         yield f"ent-isom-a{a}", -abs(se), {"alpha": a, "defect": se}
 
 
-def _suite_entropy_duality(rng, dims, cfg):
+def _suite_entropy_duality(rng, dims):
     space = SystemSpace.of(("A", dims[0]), ("B", dims[1]))
     psi = _pure(rng, space)
     ra = partial_trace(psi, {"A"})
@@ -224,19 +222,19 @@ def _suite_entropy_duality(rng, dims, cfg):
         yield f"duality-a{a}", -abs(diff), {"alpha": a, "defect": diff}
 
 
-def _suite_conditional_duality(rng, dims, cfg):
+def _suite_conditional_duality(rng, dims):
     space = SystemSpace.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
     psi = _pure(rng, space)
     rab = partial_trace(psi, {"A", "B"})
     rac = partial_trace(psi, {"A", "C"})
     for a in (0.6, 0.75, 1.5, 2.0):
         b = alpha_params(a).beta
-        s1 = conditional_entropy(rab, ["B"], a, cfg).value
-        s2 = conditional_entropy(rac, ["C"], b, cfg).value
+        s1 = conditional_entropy(rab, ["B"], a).value
+        s2 = conditional_entropy(rac, ["C"], b).value
         yield f"cond-duality-a{a}", -abs(s1 + s2), {"alpha": a, "S(A|B)": s1, "S(A|C)": s2}
 
 
-def _suite_dpi(rng, dims, cfg):
+def _suite_dpi(rng, dims):
     d_a, d_b = dims[0], dims[1]
     space = SystemSpace.of(("A", d_a), ("B", d_b))
     rho, sigma = _state(rng, space), _state(rng, space)
@@ -247,15 +245,15 @@ def _suite_dpi(rng, dims, cfg):
         post = sandwiched_divergence(rho2, sigma2, a)
         yield f"dpi-div-a{a}", pre - post, {"alpha": a, "pre": pre, "post": post}
     for a in (0.6, 2.0):
-        pre = conditional_entropy(rho, ["B"], a, cfg).value
-        post = conditional_entropy(rho2, ["B"], a, cfg).value
+        pre = conditional_entropy(rho, ["B"], a).value
+        post = conditional_entropy(rho2, ["B"], a).value
         yield f"dpi-cond-a{a}", post - pre, {"alpha": a, "pre": pre, "post": post}
-        pre = mutual_information(rho, ["B"], a, cfg).value
-        post = mutual_information(rho2, ["B"], a, cfg).value
+        pre = mutual_information(rho, ["B"], a).value
+        post = mutual_information(rho2, ["B"], a).value
         yield f"dpi-mutual-a{a}", pre - post, {"alpha": a, "pre": pre, "post": post}
 
 
-def _suite_subadditivity(rng, dims, cfg):
+def _suite_subadditivity(rng, dims):
     space = SystemSpace.of(("A", dims[0]), ("B", dims[1]))
     rho = _state(rng, space)
     ra = partial_trace(rho, {"A"})
@@ -267,27 +265,27 @@ def _suite_subadditivity(rng, dims, cfg):
         yield f"sub-upper-a{a}", (sa + logb) - sab, {"alpha": a, "S(AB)": sab, "S(A)": sa}
 
 
-def _suite_dimension_bounds(rng, dims, cfg):
+def _suite_dimension_bounds(rng, dims):
     space = SystemSpace.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
     rho = _state(rng, space)
     rab = partial_trace(rho, {"A", "B"})
     logc = math.log2(dims[2])
     for a in (0.6, 2.0):
-        lhs = conditional_entropy(rho, ["B", "C"], a, cfg).value + 2 * logc
-        rhs = conditional_entropy(rab, ["B"], a, cfg).value
+        lhs = conditional_entropy(rho, ["B", "C"], a).value + 2 * logc
+        rhs = conditional_entropy(rab, ["B"], a).value
         yield f"dim-cond-a{a}", lhs - rhs, {"alpha": a, "lhs": lhs, "rhs": rhs}
-        lhs = mutual_information(rab, ["B"], a, cfg).value + 2 * logc
-        rhs = mutual_information(rho, ["B", "C"], a, cfg).value
+        lhs = mutual_information(rab, ["B"], a).value + 2 * logc
+        rhs = mutual_information(rho, ["B", "C"], a).value
         yield f"dim-mutual-a{a}", lhs - rhs, {"alpha": a, "lhs": lhs, "rhs": rhs}
     # product decoupling equalities
     sc = _state(rng, SystemSpace.of(("C", dims[2])))
     prod = rab.tensor(sc)
     for a in (0.6, 2.0):
-        d1 = conditional_entropy(prod, ["B", "C"], a, cfg).value
-        d2 = conditional_entropy(rab, ["B"], a, cfg).value
+        d1 = conditional_entropy(prod, ["B", "C"], a).value
+        d2 = conditional_entropy(rab, ["B"], a).value
         yield f"prod-cond-a{a}", -abs(d1 - d2), {"alpha": a, "joint": d1, "base": d2}
-        m1 = mutual_information(prod, ["B", "C"], a, cfg).value
-        m2 = mutual_information(rab, ["B"], a, cfg).value
+        m1 = mutual_information(prod, ["B", "C"], a).value
+        m2 = mutual_information(rab, ["B"], a).value
         yield f"prod-mutual-a{a}", -abs(m1 - m2), {"alpha": a, "joint": m1, "base": m2}
 
 
@@ -313,7 +311,7 @@ def _classical_mix(p, blocks) -> np.ndarray:
     return sum(pc * np.kron(b, np.diag(e)) for pc, b, e in zip(p, blocks, np.eye(len(p))))
 
 
-def _suite_fidelity_bounds(rng, dims, cfg):
+def _suite_fidelity_bounds(rng, dims):
     d_a, d_b = dims[0], dims[1]
     space = SystemSpace.of(("A", d_a), ("B", d_b))
     rho, sigma = _state(rng, space), _state(rng, space)
@@ -328,8 +326,8 @@ def _suite_fidelity_bounds(rng, dims, cfg):
         fa = fidelity(partial_trace(rho, {"A"}), partial_trace(sigma, {"A"}))
         yield f"fid-entropy-a{a}", lhs - coef * math.log2(max(fa, 1e-300)), {"alpha": a}
         lhs = (
-            conditional_entropy(rho, ["B"], a, cfg).value
-            - conditional_entropy(sigma, ["B"], b, cfg).value
+            conditional_entropy(rho, ["B"], a).value
+            - conditional_entropy(sigma, ["B"], b).value
         )
         yield f"fid-cond-a{a}", lhs - coef * logf, {"alpha": a, "lhs": lhs, "logF": logf}
     # mutual-information bound needs equal A marginals
@@ -339,8 +337,8 @@ def _suite_fidelity_bounds(rng, dims, cfg):
         b = alpha_params(a).beta
         coef = 2 * a / (1 - a)
         lhs = (
-            mutual_information(rho2, ["B"], b, cfg).value
-            - mutual_information(sigma2, ["B"], a, cfg).value
+            mutual_information(rho2, ["B"], b).value
+            - mutual_information(sigma2, ["B"], a).value
         )
         yield f"fid-mutual-a{a}", lhs - coef * f2, {"alpha": a, "lhs": lhs, "logF": f2}
     # cmi bound: classical C blocks with equal-marginal interpolation
@@ -367,44 +365,44 @@ def _suite_fidelity_bounds(rng, dims, cfg):
         yield f"fid-cmi-a{a}", lhs - coef * f3, {"alpha": a, "lhs": lhs, "logF": f3}
 
 
-def _suite_cq_monotonicity(rng, dims, cfg):
+def _suite_cq_monotonicity(rng, dims):
     d_a, d_b, d_x = dims[0], dims[1], dims[2]
     space = SystemSpace.of(("A", d_a), ("B", d_b), ("X", d_x))
     rho = _cq(rng, space, "X")
     rab = partial_trace(rho, {"A", "B"})
     logx = math.log2(d_x)
     for a in (0.6, 2.0):
-        s_axb = conditional_entropy(rho, ["B"], a, cfg).value
-        s_ab = conditional_entropy(rab, ["B"], a, cfg).value
+        s_axb = conditional_entropy(rho, ["B"], a).value
+        s_ab = conditional_entropy(rab, ["B"], a).value
         yield f"cq-discard-a{a}", s_axb - s_ab, {"alpha": a, "S(AX|B)": s_axb, "S(A|B)": s_ab}
-        s_abx = conditional_entropy(rho, ["B", "X"], a, cfg).value
+        s_abx = conditional_entropy(rho, ["B", "X"], a).value
         yield f"cq-dim-cond-a{a}", s_abx + logx - s_ab, {"alpha": a, "S(A|BX)": s_abx}
-        i_abx = mutual_information(rho, ["B", "X"], a, cfg).value
-        i_ab = mutual_information(rab, ["B"], a, cfg).value
+        i_abx = mutual_information(rho, ["B", "X"], a).value
+        i_ab = mutual_information(rab, ["B"], a).value
         yield f"cq-dim-mutual-a{a}", logx + i_ab - i_abx, {"alpha": a, "I(A;BX)": i_abx}
 
 
-def _suite_cmi_generalizations(rng, dims, cfg):
+def _suite_cmi_generalizations(rng, dims):
     space = SystemSpace.of(("A", dims[0]), ("B", dims[1]), ("C", dims[2]))
     rho = _state(rng, space)
     vn = von_neumann_cmi(rho, "A", "B", "C")
-    i1_1, i2_1 = cmi_generalizations(rho, "A", "B", "C", 1.0, cfg)
+    i1_1, i2_1 = cmi_generalizations(rho, "A", "B", "C", 1.0)
     yield "alpha1-first", -abs(i1_1 - vn), {"value": i1_1, "vn": vn}
     yield "alpha1-second", -abs(i2_1 - vn), {"value": i2_1, "vn": vn}
     grid = (0.6, 0.8, 1.0, 1.3, 2.0)
-    vals = [cmi_generalizations(rho, "A", "B", "C", a, cfg) for a in grid]
+    vals = [cmi_generalizations(rho, "A", "B", "C", a) for a in grid]
     for (a1, (x1, y1)), (a2, (x2, y2)) in zip(zip(grid, vals), list(zip(grid, vals))[1:]):
         yield f"mono-first-{a1}-{a2}", x1 - x2, {"alpha": a1, "alpha'": a2, "I1": x1, "I1'": x2}
         yield f"mono-second-{a1}-{a2}", y2 - y1, {"alpha": a1, "alpha'": a2, "I2": y1, "I2'": y2}
     # duality on a four-party pure state
     psi = _pure(rng, SystemSpace.of(("A", 2), ("B", 2), ("C", 2), ("D", 2)))
     for a in (0.75, 1.5):
-        i1c, _ = cmi_generalizations(psi, "A", "B", "C", a, cfg)
-        i1d, _ = cmi_generalizations(psi, "A", "B", "D", a, cfg)
+        i1c, _ = cmi_generalizations(psi, "A", "B", "C", a)
+        i1d, _ = cmi_generalizations(psi, "A", "B", "D", a)
         yield f"duality-a{a}", -abs(i1c - i1d), {"alpha": a, "I1|C": i1c, "I1|D": i1d}
 
 
-def _suite_fidelity_product(rng, dims, cfg):
+def _suite_fidelity_product(rng, dims):
     d_a, d_b = dims[0], dims[1]
     rho = _state(rng, SystemSpace.of(("A", d_a), ("B", d_b)))
     sigma_a = random_state_matrix(rng, d_a)
@@ -437,18 +435,30 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)
 
 
+def suite_dims(suite_id: str, dims=None) -> tuple:
+    """The subsystem dimensions ``suite_id`` runs at: ``dims`` once checked, else its default."""
+    if suite_id not in _SUITES:
+        raise UsageError(f"unknown suite {suite_id!r}; known: {sorted(_SUITES)}")
+    default = _SUITES[suite_id][1]
+    if dims is None:
+        return default
+    dims = tuple(dims)
+    if len(dims) != len(default) or min(dims) < 1:
+        raise UsageError(
+            f"suite {suite_id!r} takes {len(default)} dimension(s), each >= 1, got {dims}"
+        )
+    return dims
+
+
 def run_inequality_suite(
     suite_id: str,
     trials: int,
     dims=None,
     seed: int = 0,
     tol: float | None = None,
-    config: OptimizerConfig = SUITE_CONFIG,
 ) -> SuiteReport:
-    if suite_id not in _SUITES:
-        raise UsageError(f"unknown suite {suite_id!r}; known: {sorted(_SUITES)}")
-    fn, default_dims, default_tol = _SUITES[suite_id]
-    dims = tuple(dims) if dims is not None else default_dims
+    dims = suite_dims(suite_id, dims)
+    fn, _, default_tol = _SUITES[suite_id]
     tol = default_tol if tol is None else tol
     start = time.time()
     failures = []
@@ -456,7 +466,7 @@ def run_inequality_suite(
     for trial in range(trials):
         ts = _trial_seed(seed, trial)
         rng = generator(ts)
-        for check, margin, values in fn(rng, dims, config):
+        for check, margin, values in fn(rng, dims):
             if margin < -tol:
                 failures.append(Failure(trial, ts, check, values, margin))
                 worst = max(worst, -margin)
@@ -569,7 +579,7 @@ def classical_state(joint: np.ndarray) -> LabeledOperator:
 
 def _cross_check_fast_path(joint: np.ndarray, alpha: float, fast_value: float):
     rho = classical_state(joint)
-    full = conditional_entropy(rho, ["B"], alpha, OptimizerConfig(starts=4)).value
+    full = conditional_entropy(rho, ["B"], alpha).value
     if abs(full - fast_value) > 1e-4:
         raise UsageError(
             f"diagonal fast path disagrees with the full optimizer: "
@@ -578,12 +588,12 @@ def _cross_check_fast_path(joint: np.ndarray, alpha: float, fast_value: float):
 
 
 def verify_counterexample(ce: Counterexample, margin: float = 1e-6) -> bool:
-    """Recompute both sides with the strict density-matrix optimizer."""
+    """Recompute both sides with the density-matrix optimizer."""
     rho = classical_state(ce.joint)
     a = ce.alpha
     b = alpha_params(a).beta
     lhs = renyi_entropy(rho, a) - renyi_entropy(partial_trace(rho, {"B"}), b)
-    rhs = conditional_entropy(rho, ["B"], a, OptimizerConfig(starts=8)).value
+    rhs = conditional_entropy(rho, ["B"], a).value
     if ce.direction == "left-violated":
         return lhs > rhs + margin
     return rhs > lhs + margin
@@ -616,17 +626,14 @@ def _random_redistribution_instance(rng, dims=(2, 2, 2), seed: int = 0):
                             encoders=encoders, decoders=decoders)
 
 
-def check_protocol_bounds(
-    kind: str,
-    trials: int,
-    seed: int = 0,
-    alphas=None,
-    config: OptimizerConfig = SUITE_CONFIG,
-) -> SuiteReport:
-    """Random instances of one protocol kind against all its bounds."""
-    from . import bounds as bnd
+def check_protocol_bounds(kind: str, trials: int, seed: int = 0, alphas=None) -> SuiteReport:
+    """Random instances of one protocol kind against all its bounds.
 
-    alphas = tuple(np.linspace(0.51, 0.99, 25) if alphas is None else alphas)
+    Each instance's bounds come from ``exponent_curve`` over ``alphas``
+    (default: its 25-point grid), which must lie in (1/2, 1).
+    """
+    from .bounds import exponent_curve
+
     start = time.time()
     failures = []
     worst = 0.0
@@ -634,18 +641,17 @@ def check_protocol_bounds(
         ts = _trial_seed(seed, trial)
         rng = generator(ts)
         inst, state, rates, merit = _random_instance_and_bound_inputs(kind, rng, ts)
-        ev = bnd._BoundEvaluator(kind, state, rates, config)
+        curve = exponent_curve(kind, state, rates, alphas, copies=inst.copies)
         log_merit = math.log2(max(merit, 1e-300))
-        for a in alphas:
-            for entry in ev.entries(a, copies=inst.copies):
-                slack = entry.log2_merit_bound - log_merit
-                if slack < -1e-8:
-                    failures.append(
-                        Failure(trial, ts, f"{entry.bound_id}-a{a:.4f}",
-                                {"merit": merit, "bound": entry.log2_merit_bound,
-                                 "alpha": a}, slack)
-                    )
-                    worst = max(worst, -slack)
+        for entry in curve.entries:
+            slack = entry.log2_merit_bound - log_merit
+            if slack < -1e-8:
+                failures.append(
+                    Failure(trial, ts, f"{entry.bound_id}-a{entry.alpha:.4f}",
+                            {"merit": merit, "bound": entry.log2_merit_bound,
+                             "alpha": entry.alpha}, slack)
+                )
+                worst = max(worst, -slack)
     return SuiteReport(f"protocol-{kind}", trials, tuple(failures), worst,
                        time.time() - start, 1e-8)
 

@@ -203,39 +203,12 @@ def entries_to_csv(entries) -> str:
     """Bound entries in the fixed converse-bounds column schema."""
     lines = [",".join(CSV_COLUMNS)]
     for e in entries:
-        lines.append(
-            ",".join(
-                [
-                    e.bound_id,
-                    _fmt(e.alpha),
-                    _fmt(e.beta),
-                    _fmt(e.kappa),
-                    _fmt(e.expression_bits),
-                    _fmt(e.rate_bits),
-                    _fmt(e.exponent),
-                    _fmt(e.log2_merit_bound),
-                ]
-            )
-        )
+        lines.append(",".join([e.bound_id] + [_fmt(getattr(e, c)) for c in CSV_COLUMNS[1:]]))
     return "\n".join(lines) + "\n"
 
 
 def entries_to_json(entries) -> str:
-    return dump_json(
-        [
-            {
-                "bound_id": e.bound_id,
-                "alpha": e.alpha,
-                "beta": e.beta,
-                "kappa": e.kappa,
-                "expression_bits": e.expression_bits,
-                "rate_bits": e.rate_bits,
-                "exponent": e.exponent,
-                "log2_merit_bound": e.log2_merit_bound,
-            }
-            for e in entries
-        ]
-    )
+    return dump_json([{c: getattr(e, c) for c in CSV_COLUMNS} for e in entries])
 
 
 def suite_report_to_dict(report) -> dict:

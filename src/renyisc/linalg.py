@@ -64,10 +64,6 @@ def fractional_power_matrix(m: np.ndarray, p: float) -> np.ndarray:
     return spectral_power(spectrum(m), p)
 
 
-def fractional_power(op: LabeledOperator, p: float) -> LabeledOperator:
-    return LabeledOperator.square(op.space, fractional_power_matrix(op.matrix, p))
-
-
 def schatten_norm(m, p: float) -> float:
     """Schatten p-(quasi)norm, (sum of singular values**p)**(1/p).
 

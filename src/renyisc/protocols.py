@@ -36,7 +36,7 @@ import numpy as np
 from .channels import ChannelSpec, bystander_space, check_povm, measurement_channel
 from .errors import BudgetExceededError, DimensionMismatchError, UsageError
 from .entropies import conditional_entropy
-from .linalg import _kron, fractional_power_matrix, purification_vector, trace_norm
+from .linalg import _kron, fidelity_matrix, fractional_power_matrix, purification_vector, trace_norm
 from .spaces import LabeledOperator, SystemSpace, permute_systems
 
 DIM_BUDGET = 4096
@@ -548,14 +548,7 @@ def _cq_blocks_from_table(p, states, e_table, n, z_per_copy, z_size):
 
 def _block_fidelity(blocks, sigma: np.ndarray) -> float:
     """F(omega_ZB, pi_Z (x) sigma) for block-diagonal omega."""
-    z = len(blocks)
-    rs = fractional_power_matrix(sigma, 0.5)
-    tot = 0.0
-    for w in blocks:
-        rw = fractional_power_matrix(w, 0.5)
-        s = np.linalg.svd(rw @ rs, compute_uv=False)
-        tot += float(np.sum(s))
-    return min(tot / math.sqrt(z), 1.0 + 1e-9)
+    return sum(fidelity_matrix(w, sigma) for w in blocks) / math.sqrt(len(blocks))
 
 
 def run_randomness_extraction(inst: ProtocolInstance) -> ProtocolOutcome:

@@ -53,10 +53,6 @@ def haar_isometry_matrix(rng: np.random.Generator, dim_out: int, dim_in: int) ->
     return q
 
 
-def random_unitary_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return haar_isometry_matrix(rng, dim, dim)
-
-
 def random_povm(dim: int, outcomes: int, seed: int) -> list[np.ndarray]:
     """Random POVM with the given outcome count, summing to the identity.
 

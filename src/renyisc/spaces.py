@@ -129,9 +129,6 @@ class LabeledOperator:
     def labels(self) -> tuple[str, ...]:
         return self.space.labels
 
-    def dagger(self) -> "LabeledOperator":
-        return LabeledOperator(self.space_in, self.space_out, self.matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -185,14 +182,6 @@ def maximally_entangled(rank: int, label_a: str, label_b: str) -> LabeledOperato
     return LabeledOperator.square(space, np.outer(psi, psi.conj()))
 
 
-def pure_state(space: SystemSpace, vector) -> LabeledOperator:
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    if v.shape[0] != space.dim:
-        raise DimensionMismatchError("vector length does not match space")
-    v = v / np.linalg.norm(v)
-    return LabeledOperator.square(space, np.outer(v, v.conj()))
-
-
 def partial_trace(op: LabeledOperator, keep) -> LabeledOperator:
     """Trace out every subsystem not in ``keep`` (order preserved)."""
     space = op.space
@@ -234,28 +223,3 @@ def embed(op: LabeledOperator, target: SystemSpace) -> LabeledOperator:
         big = op.tensor(identity(SystemSpace(tuple(missing))))
     return permute_systems(big, target.labels)
 
-
-def tensor_power(op: LabeledOperator, n: int) -> LabeledOperator:
-    """n-fold tensor power with per-label grouping.
-
-    The result keeps the original labels; each subsystem dimension is raised
-    to the n-th power, with the n copies of one label contiguous (copy 0 most
-    significant).
-    """
-    if n < 1:
-        raise UsageError("tensor power requires n >= 1")
-    if n == 1:
-        return op
-    out_dims, in_dims = op.space_out.dims, op.space_in.dims
-    ko, ki = len(out_dims), len(in_dims)
-    m = op.matrix
-    cur = m
-    for _ in range(n - 1):
-        cur = np.kron(cur, m)
-    t = cur.reshape(out_dims * n + in_dims * n)
-    perm_out = [c * ko + j for j in range(ko) for c in range(n)]
-    perm_in = [n * ko + c * ki + j for j in range(ki) for c in range(n)]
-    t = t.transpose(perm_out + perm_in)
-    new_out = SystemSpace(tuple((l, d**n) for l, d in op.space_out.subsystems))
-    new_in = SystemSpace(tuple((l, d**n) for l, d in op.space_in.subsystems))
-    return LabeledOperator(new_out, new_in, t.reshape(new_out.dim, new_in.dim))

@@ -34,6 +34,15 @@ def test_alpha_domain_enforced():
         converse_bound(REDISTRIBUTION, _abc(), {"q": 1.0, "e": 0.0}, alpha=0.5, config=CFG)
 
 
+def test_copies_domain_enforced():
+    cq = random_cq_state(2, 2, 2)
+    for copies in (0, -3):
+        with pytest.raises(UsageError, match="copies"):
+            converse_bound(DATA_COMPRESSION, cq, {"m": 1.0}, alpha=0.8, copies=copies, config=CFG)
+        with pytest.raises(UsageError, match="copies"):
+            exponent_curve(DATA_COMPRESSION, cq, {"m": 1.0}, (0.8,), copies=copies, config=CFG)
+
+
 def test_redistribution_report_structure():
     rep = converse_bound(REDISTRIBUTION, _abc(1), {"q": 1.0, "e": 0.0}, alpha=0.8, config=CFG)
     ids = [e.bound_id for e in rep.entries]

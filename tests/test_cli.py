@@ -151,6 +151,14 @@ def test_verify_protocol_exits_0(capsys):
                  "--seed", "8", "--grid", "0.6:0.9:2"]) == 0
 
 
+def test_verify_protocol_rejects_alpha_outside_bound_domain(capsys):
+    assert main(["verify", "--protocol", "data-compression", "--trials", "1",
+                 "--grid", "1.5:2:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha in (1/2, 1)" in captured.err
+
+
 def test_falsify_writes_counterexamples(tmp_path, capsys):
     assert main(["falsify", "--trials", "2000", "--seed", "0",
                  "--output-dir", str(tmp_path)]) == 0
@@ -181,10 +189,22 @@ def test_help_exits_0(capsys):
         (["divergence", "--input", "{mm2}", "--sigma", "{mm2}", "--alpha", "inf"], "--alpha"),
         (["verify", "--suite", "holder", "--trials", "-3"], "--trials"),
         (["falsify", "--trials", "0", "--output-dir", "{tmp}"], "--trials"),
+        (["verify", "--suite", "holder", "--trials", "1", "--tol", "nan"], "--tol"),
+        (["verify", "--suite", "holder", "--trials", "1", "--tol", "-0.001"], "--tol"),
+        (["verify", "--suite", "holder", "--trials", "1", "--dims", "x"], "--dims"),
+        (["verify", "--suite", "holder", "--trials", "1", "--dims", "2,"], "--dims"),
+        (["verify", "--suite", "additivity", "--trials", "1", "--dims", "2"], "--dims"),
+        (["verify", "--suite", "holder", "--trials", "1", "--dims", "0"], "--dims"),
+        (["verify", "--suite", "all", "--trials", "1", "--dims", "2"], "--dims"),
+        (["verify", "--protocol", "data-compression", "--trials", "1", "--dims", "2"], "--dims"),
+        (["exponent-curve", "--kind", "data-compression", "--input", "{cq}", "--rates", "m=1",
+          "--grid", "0.6:0.9:2", "--copies", "0"], "--copies"),
+        (["exponent-curve", "--kind", "data-compression", "--input", "{cq}", "--rates", "m=1",
+          "--grid", "0.6:0.9:2", "--copies", "-3"], "--copies"),
     ],
 )
-def test_bad_flag_value_exits_2(mm2, tmp_path, capsys, argv, flag):
-    argv = [a.format(mm2=mm2, tmp=tmp_path) for a in argv]
+def test_bad_flag_value_exits_2(mm2, cq, tmp_path, capsys, argv, flag):
+    argv = [a.format(mm2=mm2, cq=cq, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

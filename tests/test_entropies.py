@@ -15,7 +15,6 @@ from renyisc.entropies import (
     classical_conditional_entropy,
     classical_renyi_entropy,
     conditional_entropy,
-    conjugate_order,
     mutual_information,
     quantum_relative_entropy,
     renyi_entropy,
@@ -42,7 +41,6 @@ def test_alpha_params_conjugate_relation():
         # 1/alpha + 1/beta = 2
         assert_allclose(1 / p.alpha + 1 / p.beta, 2.0, atol=1e-12)
         assert_allclose(p.kappa, (1 - a) / (2 * a), atol=1e-12)
-        assert_allclose(conjugate_order(a), p.beta, atol=1e-12)
 
 
 def test_alpha_params_rejects_half():

@@ -20,6 +20,12 @@ def test_unknown_suite_rejected():
         run_inequality_suite("no-such-suite", 1)
 
 
+@pytest.mark.parametrize("dims", [(2,), (2, 3, 4), (0, 3)])
+def test_suite_dims_checked(dims):
+    with pytest.raises(UsageError, match="additivity"):
+        run_inequality_suite("additivity", 1, dims=dims)
+
+
 def test_random_channel_pads_environment_for_large_input():
     # a purifier of dimension 5 into B of dimension 2 needs an environment of 4
     report = run_inequality_suite("fidelity-bounds", 1, dims=(5, 2))

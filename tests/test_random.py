@@ -12,7 +12,6 @@ from renyisc.random_ensembles import (
     random_pure_state,
     random_state,
     random_state_matrix,
-    random_unitary_matrix,
 )
 
 
@@ -65,11 +64,6 @@ def test_haar_isometry():
     v = haar_isometry_matrix(generator(7), 6, 3)
     assert v.shape == (6, 3)
     assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
-
-
-def test_random_unitary():
-    u = random_unitary_matrix(generator(8), 4)
-    assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_random_povm_complete_and_psd():

@@ -15,8 +15,6 @@ from renyisc.spaces import (
     maximally_mixed,
     partial_trace,
     permute_systems,
-    pure_state,
-    tensor_power,
 )
 
 
@@ -92,12 +90,6 @@ def test_maximally_entangled_marginals():
     assert_allclose(ma.matrix, np.eye(3) / 3, atol=1e-14)
 
 
-def test_pure_state_normalizes():
-    psi = pure_state(SystemSpace.of(("A", 2)), [3.0, 4.0])
-    assert_allclose(np.trace(psi.matrix), 1.0, atol=1e-14)
-    assert_allclose(psi.matrix[0, 0], 9 / 25, atol=1e-14)
-
-
 def test_partial_trace_keeps_original_order():
     space = SystemSpace.of(("A", 2), ("B", 3), ("C", 2))
     rho = maximally_mixed(space)
@@ -137,13 +129,6 @@ def test_embed_adds_identity_factor():
     big = embed(rho, SystemSpace.of(("A", 2), ("B", 3)))
     assert big.space.labels == ("A", "B")
     assert_allclose(big.matrix, np.kron(rho.matrix, np.eye(3)), atol=1e-14)
-
-
-def test_tensor_power_copies():
-    rho = LabeledOperator.square(SystemSpace.of(("A", 2)), np.diag([0.9, 0.1]).astype(complex))
-    sq = tensor_power(rho, 2)
-    assert sq.space.dim == 4
-    assert_allclose(sq.matrix, np.kron(rho.matrix, rho.matrix), atol=1e-14)
 
 
 def test_identity_operator():
