@@ -167,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", help="comma-separated subsystem dimensions")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--grid", default=DEFAULT_GRID_SPEC)
+    p.add_argument("--tol", type=float, help="suite tolerance (--suite only)")
+    p.add_argument("--grid", help=f"alpha grid (--protocol only; default {DEFAULT_GRID_SPEC})")
     p.add_argument("--output")
 
     p = sub.add_parser("falsify", help="search for violations of the two extraction exponents")
@@ -244,9 +244,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     dims = _parse_dims(args)
+    if args.protocol and args.tol is not None:
+        raise UsageError("--tol needs --suite (a protocol sweep's slack is fixed)")
+    if args.suite and args.grid is not None:
+        raise UsageError("--grid needs --protocol (inequality suites draw their own alphas)")
     if args.protocol:
         report = _harness.check_protocol_bounds(
-            args.protocol, args.trials, seed=args.seed, alphas=_parse_grid(args.grid)
+            args.protocol, args.trials, seed=args.seed,
+            alphas=_parse_grid(args.grid or DEFAULT_GRID_SPEC)
         )
         reports = [report]
     elif args.suite == "all":

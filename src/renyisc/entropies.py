@@ -3,10 +3,11 @@
 All values are in bits (logarithms base 2).  The optimized quantities
 (conditional entropy, mutual information) minimize over the conditioning
 state with a quasi-Newton descent on the unconstrained parametrization
-sigma = L L† / tr(L L†), L complex lower-triangular, with analytic
-gradients.  The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi), so
-the descent stops at the first start (warm start, then rho_B, then seeded
-random ones) whose gradient residual meets ``OptimizerConfig.tol``.
+sigma = L L† / tr(L L†), L a full complex d_B x d_B matrix, with analytic
+gradients; B is first restricted to the support of rho_B.  The problem is
+convex for alpha >= 1/2 (Frank-Lieb, Beigi), so the descent stops at the
+first start (warm start, then rho_B, then seeded random ones) whose
+gradient residual meets ``OptimizerConfig.tol``.
 ``OptimizerConfig`` holds the only two settings a caller can change, the
 residual ``tol`` and the cap on ``starts`` (3 by default); L-BFGS-B's own
 stopping rules, its iteration cap and the seed of the random starts are
@@ -196,31 +197,10 @@ class OptimizedValue:
 _FAILED = 1e6
 
 
-def _tril_indices(d: int):
-    re_idx = np.tril_indices(d)
-    im_idx = np.tril_indices(d, -1)
-    return re_idx, im_idx
-
-
-def _unpack_l(x: np.ndarray, d: int, idx) -> np.ndarray:
-    re_idx, im_idx = idx
-    l = np.zeros((d, d), dtype=complex)
-    n_re = len(re_idx[0])
-    l[re_idx] = x[:n_re]
-    l[im_idx] = l[im_idx] + 1j * x[n_re:]
-    return l
-
-
-def _pack_l(l: np.ndarray, idx) -> np.ndarray:
-    re_idx, im_idx = idx
-    return np.concatenate([np.real(l[re_idx]), np.imag(l[im_idx])])
-
-
 def _power_adjoint(u: np.ndarray, lam: np.ndarray, c: float, h: np.ndarray) -> np.ndarray:
     """Adjoint of the Frechet derivative of x -> x**c at sigma = U diag(lam) U†."""
     lc = lam**c
     diff = lam[:, None] - lam[None, :]
-    phi = np.empty_like(diff)
     close = np.abs(diff) < 1e-12 * max(lam[-1], 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = (lc[:, None] - lc[None, :]) / diff
@@ -240,11 +220,11 @@ def _divergence_objective(
 ):
     """Objective x -> (D(rho_AB || X_A (x) sigma(x)), gradient).
 
-    ``x`` packs a lower-triangular Cholesky factor of the unnormalized
-    conditioning state sigma(x).
+    ``x`` holds the real and imaginary parts of a full complex d_B x d_B
+    factor L, interleaved (``L.view(float)``), of the unnormalized
+    conditioning state sigma(x) = L L†.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
-    idx = _tril_indices(d_b)
     if a_factor is None:
         ac = np.eye(d_a)
         ac_full = None
@@ -254,7 +234,7 @@ def _divergence_objective(
     pref = alpha / (alpha - 1.0) / LN2
 
     def objective(x):
-        l = _unpack_l(x, d_b, idx)
+        l = x.view(complex).reshape(d_b, d_b)
         s = l @ l.conj().T
         trs = float(np.trace(s).real)
         if trs <= 0 or not np.isfinite(trs):
@@ -283,7 +263,7 @@ def _divergence_objective(
         h_b = (h_b + h_b.conj().T) / 2
         g_sigma = (pref / t) * _power_adjoint(u, lam, c, h_b)
         gs = (g_sigma - float(np.trace(g_sigma @ sigma).real) * np.eye(d_b)) / trs
-        return f, 2.0 * _pack_l(gs @ l, idx)
+        return f, (2.0 * (gs @ l)).view(float).ravel()
 
     return objective
 
@@ -307,14 +287,10 @@ def _min_divergence(
     converges.
     """
     objective = _divergence_objective(rho_ab, d_a, d_b, a_factor, alpha)
-    idx = _tril_indices(d_b)
     rng = generator(_START_SEED)
-    starts: list[np.ndarray] = []
-    for sigma0 in warm_starts:
-        starts.append(np.asarray(sigma0, dtype=complex))
-    # deterministic start at rho_B
-    rho_b = np.trace(rho_ab.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-    starts.append(rho_b)
+    # warm starts, then a deterministic start at rho_B
+    starts = [np.asarray(s0, dtype=complex) for s0 in warm_starts]
+    starts.append(np.trace(rho_ab.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2))
     while len(starts) < max(config.starts, len(warm_starts) + 1):
         g0 = ginibre(rng, d_b, d_b)
         m0 = g0 @ g0.conj().T
@@ -327,7 +303,7 @@ def _min_divergence(
         l0 = np.linalg.cholesky(s0)
         res = scipy.optimize.minimize(
             objective,
-            _pack_l(l0, idx),
+            l0.view(float).ravel(),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": _MAXITER, "ftol": _FTOL, "gtol": _GTOL},
@@ -335,7 +311,7 @@ def _min_divergence(
         gnorm = float(np.max(np.abs(res.jac)))
         converged = gnorm <= config.tol and np.isfinite(res.fun) and res.fun != _FAILED
         if converged or res.fun < best[0]:
-            l = _unpack_l(res.x, d_b, idx)
+            l = res.x.view(complex).reshape(d_b, d_b)
             s = l @ l.conj().T
             best = (float(res.fun), s / np.trace(s).real, gnorm)
         if converged:
@@ -362,7 +338,9 @@ def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> Optimiz
     """min over sigma_B of D~_alpha(rho_AB || X_A (x) sigma_B), signed as the quantity.
 
     X_A is rho_A for the mutual information and I_A for the conditional
-    entropy, whose value is the negated minimum.
+    entropy, whose value is the negated minimum.  When rho_B is rank
+    deficient, B is first restricted to supp rho_B: pinching onto it leaves
+    rho unchanged, so by data processing the optimal sigma_B lives there.
     """
     alpha = float(alpha)
     if alpha < 0.5:
@@ -372,12 +350,21 @@ def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> Optimiz
     b_space = rho.space.restrict(b_labels)
     t = mat.reshape(d_a, d_b, d_a, d_b)
     rho_a = np.trace(t, axis1=1, axis2=3) if mutual else None
+    rho_b = np.trace(t, axis1=0, axis2=2)
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        rho_b = np.trace(t, axis1=0, axis2=2)
         s_ab, s_b = von_neumann_entropy_matrix(mat), von_neumann_entropy_matrix(rho_b)
         value = von_neumann_entropy_matrix(rho_a) + s_b - s_ab if mutual else s_ab - s_b
         return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
-    val, sigma, resid = _min_divergence(mat, d_a, d_b, rho_a, alpha, config, warm_starts)
+    _, vecs, support = spectrum(rho_b)
+    if support.all():
+        val, sigma, resid = _min_divergence(mat, d_a, d_b, rho_a, alpha, config, warm_starts)
+    else:
+        p = vecs[:, support]
+        ip = _kron(np.eye(d_a), p)
+        warm = [p.conj().T @ s0 @ p for s0 in warm_starts]
+        val, sigma, resid = _min_divergence(ip.conj().T @ mat @ ip, d_a, p.shape[1], rho_a,
+                                            alpha, config, warm)
+        sigma = p @ sigma @ p.conj().T
     return OptimizedValue(val if mutual else -val, LabeledOperator.square(b_space, sigma), resid,
                           "lbfgs")
 

@@ -450,6 +450,11 @@ def suite_dims(suite_id: str, dims=None) -> tuple:
     return dims
 
 
+def _check_trials(trials):
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
+
+
 def run_inequality_suite(
     suite_id: str,
     trials: int,
@@ -458,6 +463,9 @@ def run_inequality_suite(
     tol: float | None = None,
 ) -> SuiteReport:
     dims = suite_dims(suite_id, dims)
+    _check_trials(trials)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise UsageError(f"tol must be finite and >= 0, got {tol}")
     fn, _, default_tol = _SUITES[suite_id]
     tol = default_tol if tol is None else tol
     start = time.time()
@@ -634,6 +642,7 @@ def check_protocol_bounds(kind: str, trials: int, seed: int = 0, alphas=None) ->
     """
     from .bounds import exponent_curve
 
+    _check_trials(trials)
     start = time.time()
     failures = []
     worst = 0.0

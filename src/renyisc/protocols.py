@@ -176,21 +176,13 @@ def cq_components(rho: LabeledOperator) -> tuple[np.ndarray, list[np.ndarray]]:
     return p, states
 
 
-def _strings(alphabet: int, n: int):
-    return itertools.product(range(alphabet), repeat=n)
-
-
-def _string_key(s) -> str:
-    return "".join(str(c) for c in s)
-
-
 def _parse_string(val, alphabet: int, n: int) -> int:
     """Index of an n-symbol digit string over the given alphabet."""
     if isinstance(val, int):
         if not 0 <= val < alphabet**n:
             raise UsageError(f"table value {val} out of range")
         return val
-    digits = [int(ch) for ch in str(val)]
+    digits = [int(ch) for ch in val] if val.isascii() and val.isdigit() else []
     if len(digits) != n or any(d >= max(alphabet, 1) for d in digits):
         raise UsageError(f"table value {val!r} is not an n-symbol string")
     idx = 0
@@ -200,7 +192,7 @@ def _parse_string(val, alphabet: int, n: int) -> int:
 
 
 def _string_probs(p: np.ndarray, n: int) -> np.ndarray:
-    """p_{s_1} ... p_{s_n} of every n-symbol string, in ``_strings`` order."""
+    """p_{s_1} ... p_{s_n} of every n-symbol string, in lexicographic order."""
     probs = np.ones(1)
     for _ in range(n):
         probs = np.multiply.outer(probs, p).reshape(-1)
@@ -210,7 +202,7 @@ def _string_probs(p: np.ndarray, n: int) -> np.ndarray:
 def _prefix_products(states: list[np.ndarray], n: int) -> np.ndarray:
     """rho_{s_1} (x) ... (x) rho_{s_{n-1}} of every (n-1)-symbol prefix, stacked.
 
-    A (|X|^{n-1}, d^{n-1}, d^{n-1}) array in ``_strings`` order, so string
+    A (|X|^{n-1}, d^{n-1}, d^{n-1}) array in lexicographic order, so string
     ``i`` of n symbols over |X| letters has the state
     ``table[i // |X|] (x) states[i % |X|]``.
     """
@@ -224,24 +216,28 @@ def _prefix_products(states: list[np.ndarray], n: int) -> np.ndarray:
     return table
 
 
-def _codeword(table: dict, key: str, per_copy: int, n: int) -> int:
+def _codeword(table: dict, key: str):
     if key not in table:
         raise UsageError(f"encoding table missing input {key!r}")
-    return _parse_string(table[key], per_copy, n)
+    val = table[key]
+    if not isinstance(val, (int, str)):
+        raise UsageError(f"table value {val!r} is not an n-symbol string")
+    return val
 
 
 def _codes(table: dict, alphabet: int, per_copy: int, n: int) -> np.ndarray:
-    """The codeword index of every n-symbol string, in ``_strings`` order."""
-    return np.array(
-        [_codeword(table, _string_key(s), per_copy, n) for s in _strings(alphabet, n)],
-        dtype=np.intp,
-    )
+    """The codeword index of every n-symbol string, in lexicographic order."""
+    digits = [str(c) for c in range(alphabet)]
+    values = [_codeword(table, "".join(s)) for s in itertools.product(digits, repeat=n)]
+    # each distinct value once, in first-seen order (the first bad one is reported)
+    parsed = {v: _parse_string(v, per_copy, n) for v in dict.fromkeys(values)}
+    return np.array([parsed[v] for v in values], dtype=np.intp)
 
 
 def _classes(codes: np.ndarray) -> list[np.ndarray]:
     """The strings of each codeword that occurs, ascending by codeword.
 
-    Each class lists its strings in ``_strings`` order (a stable sort).
+    Each class lists its strings in lexicographic order (a stable sort).
     """
     order = np.argsort(codes, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
@@ -647,7 +643,7 @@ def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
         povm = {k: np.asarray(v, dtype=complex) for k, v in inst.decoder_povms[c].items()}
         check_povm(list(povm.values()), db**n, f"decoder POVM for codeword {c} is incomplete")
         for i in members:
-            elem = povm.get(_string_key(np.unravel_index(i, (x,) * n)))
+            elem = povm.get("".join(map(str, np.unravel_index(i, (x,) * n))))
             if elem is not None:
                 st = _kron(prefixes[i // x], states[i % x])
                 # tr(elem st) without the matrix product

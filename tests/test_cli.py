@@ -201,6 +201,9 @@ def test_help_exits_0(capsys):
           "--grid", "0.6:0.9:2", "--copies", "0"], "--copies"),
         (["exponent-curve", "--kind", "data-compression", "--input", "{cq}", "--rates", "m=1",
           "--grid", "0.6:0.9:2", "--copies", "-3"], "--copies"),
+        (["verify", "--suite", "holder", "--trials", "1", "--grid", "7:9:2"], "--grid"),
+        (["verify", "--protocol", "data-compression", "--trials", "1", "--grid", "0.6:0.9:2",
+          "--tol", "5"], "--tol"),
     ],
 )
 def test_bad_flag_value_exits_2(mm2, cq, tmp_path, capsys, argv, flag):
@@ -293,6 +296,14 @@ def _rekey(new):
         pytest.param("redistribution", _put([2], "registers"), "registers", id="registers-list"),
         pytest.param("compression", _drop("e_table"), "e_table", id="missing-e-table"),
         pytest.param("compression", _put([["0", "0"]], "e_table"), "e_table", id="e-table-list"),
+        pytest.param("compression", _put("x", "e_table", "1"), "table value 'x'", id="e-value-x"),
+        pytest.param("compression", _put([0], "e_table", "1"), "table value [0]", id="e-value-list"),
+        pytest.param("compression", _put(3, "e_table", "1"), "table value 3 out of range",
+                     id="e-value-range"),
+        pytest.param("compression", _put("3", "e_table", "1"), "table value '3'",
+                     id="e-value-digit-range"),
+        pytest.param("compression", _drop("e_table", "1"), "missing input '1'",
+                     id="e-table-missing-input"),
         pytest.param("compression", _rekey("x"), "decoder_povms", id="decoder-key-x"),
         pytest.param("compression", _rekey("1"), "codeword 0", id="decoder-missing-codeword"),
     ],

@@ -9,8 +9,6 @@ from renyisc.entropies import (
     OptimizerConfig,
     _divergence_objective,
     _kron,
-    _pack_l,
-    _tril_indices,
     alpha_params,
     classical_conditional_entropy,
     classical_renyi_entropy,
@@ -283,8 +281,9 @@ def test_optimizer_gradient_matches_finite_differences():
     rho = random_state_matrix(rng, 4)
     for alpha in (0.6, 0.75, 1.5, 2.0):
         obj = _divergence_objective(rho, 2, 2, None, alpha)
-        g0 = np.tril(rng.normal(size=(2, 2))) + 1j * np.tril(rng.normal(size=(2, 2)), -1)
-        x0 = _pack_l(np.linalg.cholesky(g0 @ g0.conj().T + np.eye(2)), _tril_indices(2))
+        l0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        x0 = l0.view(float).ravel()
+        assert len(x0) == 8
         _, grad = obj(x0)
         eps = 1e-6
         for i in range(len(x0)):
@@ -307,7 +306,9 @@ def test_optimizer_gradient_mutual_variant():
     rho = random_state_matrix(rng, 4)
     rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
     obj = _divergence_objective(rho, 2, 2, rho_a, 0.8)
-    x0 = _pack_l(np.linalg.cholesky(np.diag([0.6, 0.4]).astype(complex)), _tril_indices(2))
+    l0 = np.array([[0.7, 0.2 - 0.1j], [0.3j, 0.5]])
+    x0 = l0.view(float).ravel()
+    assert len(x0) == 8
     _, grad = obj(x0)
     eps = 1e-6
     for i in range(len(x0)):
@@ -364,3 +365,19 @@ def test_divergence_labeled_wrapper():
     space = SystemSpace.of(("A", 2))
     rho = LabeledOperator.square(space, np.diag([1.0, 0.0]).astype(complex))
     assert_allclose(sandwiched_divergence(rho, maximally_mixed(space), 2.0), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("d_b", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_copy_additivity_on_rank_one_states(d_b, seed):
+    # S~_alpha(A|B) and I~_alpha(A;B) are additive on rho (x) rho; on a rank-1
+    # state rho_B is rank deficient and the optimal sigma_B lives on its support
+    rho = random_state(SystemSpace.of(("A", 2), ("B", d_b)), seed=seed, rank=1)
+    copy = LabeledOperator.square(SystemSpace.of(("A2", 2), ("B2", d_b)), rho.matrix)
+    pair = rho.tensor(copy)
+    for quantity in (conditional_entropy, mutual_information):
+        for alpha in (1.5, 2.0):
+            one = quantity(rho, ["B"], alpha, CFG)
+            two = quantity(pair, ["B", "B2"], alpha, CFG)
+            assert abs(two.value - 2 * one.value) <= 1e-6, (quantity, alpha, two.value, one.value)
+            assert one.residual <= CFG.tol and two.residual <= CFG.tol, (quantity, alpha)

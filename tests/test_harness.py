@@ -26,6 +26,24 @@ def test_suite_dims_checked(dims):
         run_inequality_suite("additivity", 1, dims=dims)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: run_inequality_suite("holder", 1, tol=float("nan")), "tol"),
+        (lambda: run_inequality_suite("holder", 1, tol=-1.0), "tol"),
+        (lambda: run_inequality_suite("holder", 0), "trials"),
+        (lambda: run_inequality_suite("holder", -1), "trials"),
+        (lambda: check_protocol_bounds("data-compression", 0, alphas=(0.6, 0.9)), "trials"),
+        (lambda: check_protocol_bounds("data-compression", -1, alphas=(0.6, 0.9)), "trials"),
+    ],
+    ids=["suite-tol-nan", "suite-tol-negative", "suite-trials-0", "suite-trials-negative",
+         "protocol-trials-0", "protocol-trials-negative"],
+)
+def test_vacuous_runs_rejected(call, name):
+    with pytest.raises(UsageError, match=name):
+        call()
+
+
 def test_random_channel_pads_environment_for_large_input():
     # a purifier of dimension 5 into B of dimension 2 needs an environment of 4
     report = run_inequality_suite("fidelity-bounds", 1, dims=(5, 2))
