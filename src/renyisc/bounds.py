@@ -262,6 +262,8 @@ def exponent_curve(
     config: OptimizerConfig = DEFAULT_CONFIG,
 ) -> ExponentCurve:
     alphas = tuple(DEFAULT_GRID if alphas is None else alphas)
+    if not alphas:
+        raise UsageError("alphas must hold at least one order in (1/2, 1)")
     for a in alphas:
         _check_alpha(a)
     _check_copies(copies)
@@ -282,56 +284,37 @@ def exponent_curve(
 # von Neumann limits
 
 
-def _vn_limits(kind: str, state: LabeledOperator) -> dict[str, float]:
-    """alpha -> 1 limit of each bound expression, in bits."""
+def _vn_limits(ev: _BoundEvaluator) -> dict[str, float]:
+    """alpha -> 1 limit of each of ``ev``'s bound expressions, in bits."""
+    kind, state = ev.kind, ev.state
+
+    def s(source, keep):
+        return von_neumann_entropy(ev.marginal(source, keep))
+
     if kind in (REDISTRIBUTION, FEEDBACK):
-        psi = purify(state, "R")
-        s_ab = von_neumann_entropy(partial_trace(state, {"A", "B"}))
-        s_b = von_neumann_entropy(partial_trace(state, {"B"}))
-        s_rb = von_neumann_entropy(partial_trace(psi, {"R", "B"}))
-        s_rab = von_neumann_entropy(partial_trace(psi, {"R", "A", "B"}))
+        s_ab, s_b = s(state, {"A", "B"}), s(state, {"B"})
+        s_rb, s_rab = s(ev.psi, {"R", "B"}), s(ev.psi, {"R", "A", "B"})
         cond = s_ab - s_b
         cmi = s_rb - s_b - s_rab + s_ab
         pre = "redistribution" if kind == REDISTRIBUTION else "feedback"
         return {f"{pre}-q+e": cond, f"{pre}-2q-cond": cmi, f"{pre}-2q-mutual": cmi}
     if kind == MERGING:
-        psi = purify(state, "R")
-        s_ab = von_neumann_entropy(partial_trace(state, {"A", "B"}))
-        s_b = von_neumann_entropy(partial_trace(state, {"B"}))
-        s_r = von_neumann_entropy(partial_trace(psi, {"R"}))
-        s_a = von_neumann_entropy(partial_trace(state, {"A"}))
-        s_ra = von_neumann_entropy(partial_trace(psi, {"R", "A"}))
+        s_ab, s_b, s_a = s(state, {"A", "B"}), s(state, {"B"}), s(state, {"A"})
+        s_r, s_ra = s(ev.psi, {"R"}), s(ev.psi, {"R", "A"})
         return {"merging-q-e": s_ab - s_b, "merging-2q": s_r + s_a - s_ra}
     if kind == SPLITTING:
-        psi = purify(state, "R")
-        s_a = von_neumann_entropy(partial_trace(state, {"A"}))
-        s_r = von_neumann_entropy(partial_trace(psi, {"R"}))
-        s_ra = von_neumann_entropy(partial_trace(psi, {"R", "A"}))
+        s_a, s_r, s_ra = s(state, {"A"}), s(ev.psi, {"R"}), s(ev.psi, {"R", "A"})
         mi = s_r + s_a - s_ra
         return {"splitting-q+e": s_a, "splitting-2q-cond": mi, "splitting-2q-mutual": mi}
     if kind == MEASUREMENT_COMPRESSION:
-        s_rb = von_neumann_entropy(partial_trace(state, {"R", "B"}))
-        s_b = von_neumann_entropy(partial_trace(state, {"B"}))
-        s_rxb = von_neumann_entropy(partial_trace(state, {"R", "X", "B"}))
-        s_xb = von_neumann_entropy(partial_trace(state, {"X", "B"}))
+        s_rb, s_b = s(state, {"R", "B"}), s(state, {"B"})
+        s_rxb, s_xb = s(state, {"R", "X", "B"}), s(state, {"X", "B"})
         return {"measurement-compression-c": (s_rb - s_b) - (s_rxb - s_xb)}
-    if kind in (RANDOMNESS_EXTRACTION, DATA_COMPRESSION):
-        x, bl = state.space.labels
-        s_xb = von_neumann_entropy(state)
-        s_b = von_neumann_entropy(partial_trace(state, {bl}))
-        cond = s_xb - s_b
-        if kind == RANDOMNESS_EXTRACTION:
-            return {"randomness-extraction-linear": cond, "randomness-extraction-cond": cond}
-        return {"data-compression-linear": cond, "data-compression-cond": cond}
-    raise UsageError(f"unknown protocol kind {kind!r}")
-
-
-def _expressions_for_limits(kind, state, eps, config):
-    """Bound expressions at alpha = 1 - eps, as (id -> value)."""
-    alpha = 1.0 - eps
-    zero_rates = dict.fromkeys(_RATE_KEYS[kind], 0.0)
-    ev = _BoundEvaluator(kind, state, zero_rates, config)
-    return {bound_id: expr for bound_id, _, expr, _ in ev.expressions(alpha)}
+    # randomness extraction and data compression: a c-q state on (X, B)
+    cond = von_neumann_entropy(state) - s(state, {state.space.labels[1]})
+    if kind == RANDOMNESS_EXTRACTION:
+        return {"randomness-extraction-linear": cond, "randomness-extraction-cond": cond}
+    return {"data-compression-linear": cond, "data-compression-cond": cond}
 
 
 def vn_limit_check(
@@ -346,8 +329,9 @@ def vn_limit_check(
     """
     if not 0.0 < eps <= 0.1:
         raise UsageError(f"eps must lie in (0, 0.1], got {eps}")
-    limits = _vn_limits(kind, state)
-    values = _expressions_for_limits(kind, state, eps, config)
+    ev = _BoundEvaluator(kind, state, dict.fromkeys(_RATE_KEYS.get(kind, ()), 0.0), config)
+    limits = _vn_limits(ev)
+    values = {bound_id: expr for bound_id, _, expr, _ in ev.expressions(1.0 - eps)}
     report = {}
     for bound_id, lim in limits.items():
         val = values[bound_id]

@@ -20,7 +20,10 @@ def _apply_thread_cap():
     try:
         n = int(raw)
     except ValueError:
-        raise SystemExit(f"RENYI_SC_THREADS must be an integer, got {raw!r}")
+        n = -1
+    if n < 0:
+        print(f"error: RENYI_SC_THREADS must be an integer >= 0, got {raw!r}", file=sys.stderr)
+        raise SystemExit(2)
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(n))

@@ -5,6 +5,10 @@ inequalities.  A check passes when its signed margin (left side minus
 right side in the "must be nonnegative" orientation) stays above minus
 the suite tolerance.  Suites never abort early; all failures are
 collected for diagnosis and replay from (suite id, seed, trial index).
+
+A protocol soundness sweep is a suite whose trial draws a random instance
+of one kind, runs it, and yields the slack of log2 merit under each of the
+kind's bounds; both run on the one trial loop, ``_run_trials``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .channels import ChannelSpec, apply_channels
 from .entropies import (
@@ -35,6 +40,7 @@ from .random_ensembles import (
     generator,
     ginibre,
     haar_isometry_matrix,
+    random_cq_state,
     random_povm,
     random_probability_vector,
     random_state_matrix,
@@ -48,6 +54,7 @@ from .spaces import (
 
 CLOSED_FORM_TOL = 1e-8
 OPTIMIZER_TOL = 1e-6
+SOUNDNESS_TOL = 1e-8  # slack of log2 merit against each protocol bound
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,7 @@ def _cq(rng, space: SystemSpace, classical_label: str) -> LabeledOperator:
     rest = [s for s in space.subsystems if s[0] != classical_label]
     d_rest = math.prod(d for _, d in rest) if rest else 1
     p = random_probability_vector(rng, d_cl)
-    blocks = [p[i] * random_state_matrix(rng, d_rest) for i in range(d_cl)]
-    m = np.zeros((d_cl * d_rest, d_cl * d_rest), dtype=complex)
-    for i, b in enumerate(blocks):
-        m[i * d_rest : (i + 1) * d_rest, i * d_rest : (i + 1) * d_rest] = b
+    m = block_diag(*(p[i] * random_state_matrix(rng, d_rest) for i in range(d_cl)))
     cl_space = SystemSpace.of((classical_label, d_cl)).tensor(SystemSpace(tuple(rest)))
     op = LabeledOperator.square(cl_space, m)
     return permute_systems(op, space.labels)
@@ -455,6 +459,21 @@ def _check_trials(trials):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
 
 
+def _run_trials(report_id: str, checks, trials, seed: int, tol: float) -> SuiteReport:
+    """Run ``checks(rng, trial_seed)`` once per trial and collect every margin below -tol."""
+    _check_trials(trials)
+    start = time.time()
+    failures = []
+    worst = 0.0
+    for trial in range(trials):
+        ts = _trial_seed(seed, trial)
+        for check, margin, values in checks(generator(ts), ts):
+            if margin < -tol:
+                failures.append(Failure(trial, ts, check, values, margin))
+                worst = max(worst, -margin)
+    return SuiteReport(report_id, trials, tuple(failures), worst, time.time() - start, tol)
+
+
 def run_inequality_suite(
     suite_id: str,
     trials: int,
@@ -463,22 +482,11 @@ def run_inequality_suite(
     tol: float | None = None,
 ) -> SuiteReport:
     dims = suite_dims(suite_id, dims)
-    _check_trials(trials)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise UsageError(f"tol must be finite and >= 0, got {tol}")
     fn, _, default_tol = _SUITES[suite_id]
     tol = default_tol if tol is None else tol
-    start = time.time()
-    failures = []
-    worst = 0.0
-    for trial in range(trials):
-        ts = _trial_seed(seed, trial)
-        rng = generator(ts)
-        for check, margin, values in fn(rng, dims):
-            if margin < -tol:
-                failures.append(Failure(trial, ts, check, values, margin))
-                worst = max(worst, -margin)
-    return SuiteReport(suite_id, trials, tuple(failures), worst, time.time() - start, tol)
+    return _run_trials(suite_id, lambda rng, _: fn(rng, dims), trials, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +561,7 @@ def falsify_bound_comparison(
     density-matrix optimizer; a discrepancy beyond optimizer tolerance is
     raised, never suppressed.
     """
+    _check_trials(trials)
     found: dict[str, Counterexample] = {}
     for trial in range(trials):
         ts = _trial_seed(seed, trial)
@@ -641,73 +650,48 @@ def check_protocol_bounds(kind: str, trials: int, seed: int = 0, alphas=None) ->
     (default: its 25-point grid), which must lie in (1/2, 1).
     """
     from .bounds import exponent_curve
+    from .protocols import run_protocol
 
-    _check_trials(trials)
-    start = time.time()
-    failures = []
-    worst = 0.0
-    for trial in range(trials):
-        ts = _trial_seed(seed, trial)
-        rng = generator(ts)
-        inst, state, rates, merit = _random_instance_and_bound_inputs(kind, rng, ts)
-        curve = exponent_curve(kind, state, rates, alphas, copies=inst.copies)
-        log_merit = math.log2(max(merit, 1e-300))
+    def checks(rng, trial_seed):
+        inst, bound_state = _random_instance(kind, rng, trial_seed)
+        out = run_protocol(inst)
+        curve = exponent_curve(kind, bound_state, out.costs, alphas, copies=inst.copies)
+        log_merit = math.log2(max(out.merit, 1e-300))
         for entry in curve.entries:
-            slack = entry.log2_merit_bound - log_merit
-            if slack < -1e-8:
-                failures.append(
-                    Failure(trial, ts, f"{entry.bound_id}-a{entry.alpha:.4f}",
-                            {"merit": merit, "bound": entry.log2_merit_bound,
-                             "alpha": entry.alpha}, slack)
-                )
-                worst = max(worst, -slack)
-    return SuiteReport(f"protocol-{kind}", trials, tuple(failures), worst,
-                       time.time() - start, 1e-8)
+            yield (f"{entry.bound_id}-a{entry.alpha:.4f}", entry.log2_merit_bound - log_merit,
+                   {"merit": out.merit, "bound": entry.log2_merit_bound, "alpha": entry.alpha})
+
+    return _run_trials(f"protocol-{kind}", checks, trials, seed, SOUNDNESS_TOL)
 
 
-def _random_instance_and_bound_inputs(kind: str, rng, seed: int):
-    """Build a random instance; return (instance, bound state, rates, merit)."""
+def _random_instance(kind: str, rng, seed: int):
+    """Build a random instance; return it with the state its bounds are evaluated on."""
     from . import protocols as prot
 
     if kind == prot.REDISTRIBUTION:
         inst = _random_redistribution_instance(rng, seed=seed)
-        out = prot.run_redistribution(inst)
-        return inst, inst.input_state, out.costs, out.merit
+        return inst, inst.input_state
     if kind == prot.FEEDBACK:
         inst = random_feedback_instance(rng, rounds=2)
-        out = prot.run_feedback_redistribution(inst)
-        return inst, inst.input_state, out.costs, out.merit
+        return inst, inst.input_state
     if kind == prot.MERGING:
         rho = _state(rng, SystemSpace.of(("A", 2), ("B", 2)))
         q = int(rng.integers(1, 5))
         m = int(rng.integers(1, 3))
-        inst = _merging_instance(rng, rho, q, m)
-        out = prot.run_redistribution(inst)
-        return inst, rho, out.costs, out.merit
+        return _merging_instance(rng, rho, q, m), rho
     if kind == prot.SPLITTING:
         rho = _state(rng, SystemSpace.of(("A", 2), ("C", 2)))
         q = int(rng.integers(1, 5))
         k = int(rng.integers(1, 3))
-        inst = _splitting_instance(rng, rho, q, k)
-        out = prot.run_redistribution(inst)
-        return inst, rho, out.costs, out.merit
+        return _splitting_instance(rng, rho, q, k), rho
     if kind == prot.MEASUREMENT_COMPRESSION:
         return _random_measurement_compression(rng, seed)
     if kind == prot.RANDOMNESS_EXTRACTION:
-        from .random_ensembles import random_cq_state
-
         cq = random_cq_state(2, 2, seed)
-        n = 1
         perm = rng.permutation(2)
         table = {str(x): str(int(perm[x])) for x in range(2)}
-        inst = prot.ProtocolInstance(
-            kind, cq, copies=n, registers={"z": 2}, e_table=table
-        )
-        out = prot.run_randomness_extraction(inst)
-        return inst, cq, out.costs, out.merit
+        return prot.ProtocolInstance(kind, cq, registers={"z": 2}, e_table=table), cq
     if kind == prot.DATA_COMPRESSION:
-        from .random_ensembles import random_cq_state
-
         x_dim = int(rng.integers(2, 4))
         cq = random_cq_state(x_dim, 2, seed)
         c_dim = int(rng.integers(1, x_dim + 1))
@@ -715,11 +699,7 @@ def _random_instance_and_bound_inputs(kind: str, rng, seed: int):
         # make the table surjective
         for c in range(c_dim):
             table[str(c % x_dim)] = str(c)
-        inst = prot.ProtocolInstance(
-            kind, cq, copies=1, registers={"c": c_dim}, e_table=table
-        )
-        out = prot.run_data_compression(inst)
-        return inst, cq, out.costs, out.merit
+        return prot.ProtocolInstance(kind, cq, registers={"c": c_dim}, e_table=table), cq
     raise UsageError(f"unknown protocol kind {kind!r}")
 
 
@@ -786,11 +766,9 @@ def _random_measurement_compression(rng, seed: int):
         decoders=[dec],
         povm=tuple(povm),
     )
-    out = prot.run_measurement_compression(inst)
     # the bound is evaluated on the ideal post-measurement state
     ideal = prot.ideal_measurement_state(rho, povm)
-    ideal = partial_trace(ideal, {"R", "X", "Xp", "B"})
-    return inst, ideal, out.costs, out.merit
+    return inst, partial_trace(ideal, {"R", "X", "Xp", "B"})
 
 
 def random_feedback_instance(rng, rounds: int = 2, dims=(2, 2, 2)):

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .channels import ChannelSpec, bystander_space, check_povm, measurement_channel
 from .errors import BudgetExceededError, DimensionMismatchError, UsageError
@@ -558,10 +559,7 @@ def run_randomness_extraction(inst: ProtocolInstance) -> ProtocolOutcome:
     _check_budget(z_size * db**n)
     blocks = _cq_blocks_from_table(p, states, inst.e_table, n, z_per_copy, z_size)
     space = SystemSpace.of(("Z", z_size), ("Bn", db**n))
-    m = np.zeros((z_size * db**n,) * 2, dtype=complex)
-    for z, w in enumerate(blocks):
-        m[z * db**n : (z + 1) * db**n, z * db**n : (z + 1) * db**n] = w
-    final = LabeledOperator.square(space, m)
+    final = LabeledOperator.square(space, block_diag(*blocks))
     f_prime = _block_fidelity(blocks, np.sum(blocks, axis=0))
     if db**n > 1:
         # max over sigma of F(omega_ZB, pi_Z (x) sigma) = 2^{S~_1/2(Z|B)/2} / sqrt|Z|

@@ -8,6 +8,7 @@ can be derived cheaply by offsetting seeds.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import UsageError
 from .spaces import LabeledOperator, SystemSpace
@@ -83,10 +84,7 @@ def random_cq_state(
     """
     rng = generator(seed)
     p = random_probability_vector(rng, x_dim)
-    m = np.zeros((x_dim * b_dim, x_dim * b_dim), dtype=complex)
-    for x in range(x_dim):
-        block = p[x] * random_state_matrix(rng, b_dim)
-        m[x * b_dim : (x + 1) * b_dim, x * b_dim : (x + 1) * b_dim] = block
+    m = block_diag(*(p[x] * random_state_matrix(rng, b_dim) for x in range(x_dim)))
     space = SystemSpace.of((x_label, x_dim), (b_label, b_dim))
     return LabeledOperator.square(space, m)
 

@@ -34,6 +34,11 @@ def test_alpha_domain_enforced():
         converse_bound(REDISTRIBUTION, _abc(), {"q": 1.0, "e": 0.0}, alpha=0.5, config=CFG)
 
 
+def test_empty_grid_rejected():
+    with pytest.raises(UsageError, match="alphas"):
+        exponent_curve(DATA_COMPRESSION, random_cq_state(2, 2, 2), {"m": 1.0}, (), config=CFG)
+
+
 def test_copies_domain_enforced():
     cq = random_cq_state(2, 2, 2)
     for copies in (0, -3):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +178,18 @@ def test_limits(cq, capsys):
     assert set(report) == {"data-compression-linear", "data-compression-cond"}
     for row in report.values():
         assert row["gap"] < 0.05
+
+
+@pytest.mark.parametrize("value", ["x", "-3"])
+def test_bad_thread_cap_exits_2(value):
+    src = os.path.dirname(os.path.dirname(rio.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, RENYI_SC_THREADS=value, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "renyisc.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: RENYI_SC_THREADS must be an integer >= 0, got {value!r}\n"
 
 
 def test_help_exits_0(capsys):

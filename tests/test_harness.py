@@ -1,10 +1,15 @@
+import dataclasses
+import math
+
 import pytest
 from numpy.testing import assert_allclose
 
+import renyisc.bounds
 from renyisc.entropies import OptimizerConfig, conditional_entropy, mutual_information
 from renyisc.errors import UsageError
 from renyisc.harness import (
     SUITE_IDS,
+    _trial_seed,
     brute_force_min_divergence,
     check_protocol_bounds,
     falsify_bound_comparison,
@@ -35,9 +40,13 @@ def test_suite_dims_checked(dims):
         (lambda: run_inequality_suite("holder", -1), "trials"),
         (lambda: check_protocol_bounds("data-compression", 0, alphas=(0.6, 0.9)), "trials"),
         (lambda: check_protocol_bounds("data-compression", -1, alphas=(0.6, 0.9)), "trials"),
+        (lambda: check_protocol_bounds("data-compression", 2, alphas=()), "alphas"),
+        (lambda: falsify_bound_comparison(0), "trials"),
+        (lambda: falsify_bound_comparison(-5), "trials"),
     ],
     ids=["suite-tol-nan", "suite-tol-negative", "suite-trials-0", "suite-trials-negative",
-         "protocol-trials-0", "protocol-trials-negative"],
+         "protocol-trials-0", "protocol-trials-negative", "protocol-alphas-empty",
+         "falsify-trials-0", "falsify-trials-negative"],
 )
 def test_vacuous_runs_rejected(call, name):
     with pytest.raises(UsageError, match=name):
@@ -138,3 +147,34 @@ def test_protocol_check_runs_clean():
 def test_protocol_check_unknown_kind():
     with pytest.raises(UsageError):
         check_protocol_bounds("no-such-protocol", 1)
+
+
+@pytest.mark.parametrize("kind", ["redistribution", "data-compression",
+                                  "measurement-compression"])
+def test_protocol_check_reports_violations(kind, monkeypatch):
+    # every bound lowered by 3 bits, so the sweep must report failures
+    exponent_curve = renyisc.bounds.exponent_curve
+
+    def lowered(*args, **kwargs):
+        curve = exponent_curve(*args, **kwargs)
+        entries = tuple(dataclasses.replace(e, log2_merit_bound=e.log2_merit_bound - 3.0)
+                        for e in curve.entries)
+        return dataclasses.replace(curve, entries=entries)
+
+    monkeypatch.setattr(renyisc.bounds, "exponent_curve", lowered)
+    alphas = (0.6, 0.75, 0.9)
+    rep = check_protocol_bounds(kind, 3, seed=3, alphas=alphas)
+    assert not rep.passed
+    assert rep.tol == 1e-8
+    for f in rep.failures:
+        assert f.seed == _trial_seed(3, f.trial)
+        assert set(f.values) == {"merit", "bound", "alpha"}
+        assert f.slack == f.values["bound"] - math.log2(max(f.values["merit"], 1e-300))
+        assert f.slack < -1e-8
+        assert f.check.startswith(kind)
+        assert f.check.endswith(f"-a{f.values['alpha']:.4f}")
+        assert f.values["alpha"] in alphas
+    assert rep.max_violation == max(-f.slack for f in rep.failures)
+    replay = check_protocol_bounds(kind, 3, seed=3, alphas=alphas)
+    assert replay.failures == rep.failures
+    assert replay.max_violation == rep.max_violation
