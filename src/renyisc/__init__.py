@@ -1,5 +1,24 @@
 """Sandwiched Renyi entropies, protocol simulation, and converse bounds."""
 
+import os as _os
+
+
+def _thread_cap():
+    """``RENYI_SC_THREADS`` as an int (0 = auto), or None when it is not an integer >= 0."""
+    try:
+        n = int(_os.environ.get("RENYI_SC_THREADS", "0"))
+    except ValueError:
+        return None
+    return n if n >= 0 else None
+
+
+# RENYI_SC_THREADS=n caps the BLAS/OpenMP pools, which read these variables
+# once, when numpy loads: so before the first import here that loads numpy
+_cap = _thread_cap()
+if _cap:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, str(_cap))
+
 from .bounds import (
     BoundEntry,
     BoundReport,

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on a suite failure or bound violation, 2 on a
 usage or input error.  All numeric output is in bits.  The environment
-variable ``RENYI_SC_THREADS`` caps internal parallelism (0 = auto); it is
-applied before the numerical stack loads, so it must be honored by the
-process entry point rather than lazily.
+variable ``RENYI_SC_THREADS`` caps internal parallelism (0 = auto); the
+package applies it before numpy loads, and ``main`` exits 2 on a value
+that is not an integer >= 0.
 """
 
 from __future__ import annotations
@@ -14,28 +14,12 @@ import math
 import os
 import sys
 
-
-def _apply_thread_cap():
-    raw = os.environ.get("RENYI_SC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        print(f"error: RENYI_SC_THREADS must be an integer >= 0, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-
-
-_apply_thread_cap()
-
-from . import bounds as _bounds  # noqa: E402
-from . import harness as _harness  # noqa: E402
-from . import io as _io  # noqa: E402
-from . import protocols as _protocols  # noqa: E402
-from .entropies import (  # noqa: E402
+from . import _thread_cap
+from . import bounds as _bounds
+from . import harness as _harness
+from . import io as _io
+from . import protocols as _protocols
+from .entropies import (
     conditional_entropy,
     conditional_mutual_information,
     cmi_generalizations,
@@ -43,7 +27,7 @@ from .entropies import (  # noqa: E402
     renyi_entropy,
     sandwiched_divergence,
 )
-from .errors import RenyiscError, UsageError  # noqa: E402
+from .errors import RenyiscError, UsageError
 
 DEFAULT_GRID_SPEC = "0.51:0.99:25"
 
@@ -332,6 +316,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if _thread_cap() is None:
+        raw = os.environ["RENYI_SC_THREADS"]
+        print(f"error: RENYI_SC_THREADS must be an integer >= 0, got {raw!r}", file=sys.stderr)
+        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -4,10 +4,14 @@ All values are in bits (logarithms base 2).  The optimized quantities
 (conditional entropy, mutual information) minimize over the conditioning
 state with a quasi-Newton descent on the unconstrained parametrization
 sigma = L L† / tr(L L†), L a full complex d_B x d_B matrix, with analytic
-gradients; B is first restricted to the support of rho_B.  The problem is
-convex for alpha >= 1/2 (Frank-Lieb, Beigi), so the descent stops at the
-first start (warm start, then rho_B, then seeded random ones) whose
-gradient residual meets ``OptimizerConfig.tol``.
+gradients; B is first restricted to the support of rho_B.  One objective,
+D~_alpha(rho || I_A (x) sigma), serves both: with c = (1-alpha)/(2alpha),
+(rho_A (x) sigma)^c = (rho_A^c (x) I)(I (x) sigma^c) with commuting factors,
+so the mutual information runs it on (rho_A^c (x) I) rho (rho_A^c (x) I).
+The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi), so the descent
+stops at the first start (warm start, then Tr_A of the minimized state,
+then seeded random ones) whose gradient residual meets
+``OptimizerConfig.tol``.
 ``OptimizerConfig`` holds the only two settings a caller can change, the
 residual ``tol`` and the cap on ``starts`` (3 by default); L-BFGS-B's own
 stopping rules, its iteration cap and the seed of the random starts are
@@ -64,16 +68,28 @@ def alpha_params(alpha: float) -> AlphaParams:
 # divergences
 
 
+def _kernel(rho: np.ndarray, sspec) -> np.ndarray | None:
+    """Mask of sigma's kernel from ``spectrum(sigma)``, or None when rho has
+    more than ``SUPPORT_TOL`` weight there (supp rho not within supp sigma)."""
+    svals, svecs, _ = sspec
+    kernel = svals <= SUPPORT_TOL * max(svals[-1], 1.0)
+    if kernel.any():
+        pk = svecs[:, kernel]
+        if float(np.real(np.trace(pk.conj().T @ rho @ pk))) > SUPPORT_TOL:
+            return None
+    return kernel
+
+
 def quantum_relative_entropy_matrix(rho: np.ndarray, sigma: np.ndarray) -> float:
     """D(rho||sigma) = tr rho (log2 rho - log2 sigma), +inf off-support."""
-    svals, svecs, _ = spectrum(sigma)
+    sspec = spectrum(sigma)
+    kernel = _kernel(rho, sspec)
+    if kernel is None:
+        return math.inf
+    svals, svecs, _ = sspec
     # weights of rho on sigma's eigenvectors
     w = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho, svecs))
-    w = np.clip(w, 0.0, None)
-    zero = svals <= SUPPORT_TOL * max(svals[-1], 1.0)
-    if np.sum(w[zero]) > SUPPORT_TOL:
-        return math.inf
-    mask = (~zero) & (w > 0)
+    mask = (~kernel) & (w > 0)
     term2 = float(np.sum(w[mask] * np.log2(svals[mask])))
     return -von_neumann_entropy_matrix(rho) - term2
 
@@ -98,15 +114,8 @@ def sandwiched_divergence_matrix(rho: np.ndarray, sigma: np.ndarray, alpha: floa
         return quantum_relative_entropy_matrix(rho, sigma)
     c = (1.0 - alpha) / (2.0 * alpha)
     sspec = spectrum(sigma)
-    if alpha > 1.0:
-        # support condition: supp rho within supp sigma
-        svals, svecs, _ = sspec
-        kernel = svals <= SUPPORT_TOL * max(svals[-1], 1.0)
-        if np.any(kernel):
-            pk = svecs[:, kernel]
-            leak = float(np.real(np.trace(pk.conj().T @ rho @ pk)))
-            if leak > SUPPORT_TOL:
-                return math.inf
+    if alpha > 1.0 and _kernel(rho, sspec) is None:
+        return math.inf
     k = spectral_power(sspec, c)
     vals, _, support = spectrum(k @ rho @ k, vectors=False)
     t = float(np.sum(vals[support] ** alpha))
@@ -131,8 +140,7 @@ def quantum_relative_entropy(rho: LabeledOperator, sigma: LabeledOperator) -> fl
 
 def von_neumann_entropy_matrix(rho: np.ndarray) -> float:
     vals, _, support = spectrum(rho, vectors=False)
-    vals = vals[support]
-    return float(-np.sum(vals * np.log2(vals)))
+    return classical_renyi_entropy(vals[support], 1.0)
 
 
 def von_neumann_entropy(rho: LabeledOperator) -> float:
@@ -145,12 +153,7 @@ def renyi_entropy_matrix(rho: np.ndarray, alpha: float) -> float:
     if alpha < 0:
         raise UsageError(f"alpha must be >= 0, got {alpha}")
     vals, _, support = spectrum(rho, vectors=False)
-    vals = vals[support]
-    if alpha == 0.0:
-        return math.log2(len(vals))
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        return float(-np.sum(vals * np.log2(vals)))
-    return float(math.log2(np.sum(vals**alpha)) / (1.0 - alpha))
+    return classical_renyi_entropy(vals[support], alpha)
 
 
 def renyi_entropy(rho: LabeledOperator, alpha: float) -> float:
@@ -211,26 +214,16 @@ def _power_adjoint(u: np.ndarray, lam: np.ndarray, c: float, h: np.ndarray) -> n
     return u @ (phi * hu) @ u.conj().T
 
 
-def _divergence_objective(
-    rho_ab: np.ndarray,
-    d_a: int,
-    d_b: int,
-    a_factor: np.ndarray | None,
-    alpha: float,
-):
-    """Objective x -> (D(rho_AB || X_A (x) sigma(x)), gradient).
+def _divergence_objective(rho_ab: np.ndarray, d_a: int, d_b: int, alpha: float):
+    """Objective x -> (D(rho_AB || I_A (x) sigma(x)), gradient).
 
     ``x`` holds the real and imaginary parts of a full complex d_B x d_B
     factor L, interleaved (``L.view(float)``), of the unnormalized
-    conditioning state sigma(x) = L L†.
+    conditioning state sigma(x) = L L†.  ``rho_ab`` need not have unit
+    trace.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
-    if a_factor is None:
-        ac = np.eye(d_a)
-        ac_full = None
-    else:
-        ac = fractional_power_matrix(a_factor, c)
-        ac_full = _kron(ac, np.eye(d_b))
+    eye_a = np.eye(d_a)
     pref = alpha / (alpha - 1.0) / LN2
 
     def objective(x):
@@ -243,7 +236,7 @@ def _divergence_objective(
         lam, u = np.linalg.eigh(sigma)
         lam = np.clip(lam, 1e-30, None)
         sc = (u * lam**c) @ u.conj().T
-        k = _kron(ac, sc)
+        k = _kron(eye_a, sc)
         m = k @ rho_ab @ k
         mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
         mtop = max(mvals[-1], 0.0)
@@ -257,8 +250,6 @@ def _divergence_objective(
         mpow_vals[pos] = mvals[pos] ** (alpha - 1.0)
         mpow = (mvecs * mpow_vals) @ mvecs.conj().T
         g = rho_ab @ k @ mpow + mpow @ k @ rho_ab
-        if ac_full is not None:
-            g = g @ ac_full
         h_b = np.trace(g.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
         h_b = (h_b + h_b.conj().T) / 2
         g_sigma = (pref / t) * _power_adjoint(u, lam, c, h_b)
@@ -272,23 +263,21 @@ def _min_divergence(
     rho_ab: np.ndarray,
     d_a: int,
     d_b: int,
-    a_factor: np.ndarray | None,
     alpha: float,
     config: OptimizerConfig,
     warm_starts=(),
 ) -> tuple[float, np.ndarray, float]:
-    """min over sigma_B of D(rho_AB || X_A (x) sigma_B) for alpha != 1.
+    """min over sigma_B of D(rho_AB || I_A (x) sigma_B) for alpha != 1.
 
-    ``a_factor`` is X_A (None means the identity).  Starts run in order
-    (warm starts, rho_B, then seeded random ones, ``config.starts`` in
-    all) until one ends with a finite value and a gradient residual of
-    at most ``config.tol``.  Returns (value, sigma, gradient-norm
-    residual) of that start, or of the lowest-value start when none
-    converges.
+    Starts run in order (warm starts, Tr_A rho_AB, then seeded random
+    ones, ``config.starts`` in all) until one ends with a finite value and
+    a gradient residual of at most ``config.tol``.  Returns (value, sigma,
+    gradient-norm residual) of that start, or of the lowest-value start
+    when none converges.
     """
-    objective = _divergence_objective(rho_ab, d_a, d_b, a_factor, alpha)
+    objective = _divergence_objective(rho_ab, d_a, d_b, alpha)
     rng = generator(_START_SEED)
-    # warm starts, then a deterministic start at rho_B
+    # warm starts, then a deterministic start at Tr_A rho_AB
     starts = [np.asarray(s0, dtype=complex) for s0 in warm_starts]
     starts.append(np.trace(rho_ab.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2))
     while len(starts) < max(config.starts, len(warm_starts) + 1):
@@ -321,7 +310,7 @@ def _min_divergence(
     return best
 
 
-def _split_bipartite(rho: LabeledOperator, b_labels) -> tuple[np.ndarray, int, int, list, list]:
+def _split_bipartite(rho: LabeledOperator, b_labels) -> tuple[np.ndarray, int, int, list]:
     space = rho.space
     b_labels = list(b_labels)
     for l in b_labels:
@@ -331,22 +320,23 @@ def _split_bipartite(rho: LabeledOperator, b_labels) -> tuple[np.ndarray, int, i
     ordered = permute_systems(rho, a_labels + b_labels)
     d_b = math.prod(space.dim_of(l) for l in b_labels)
     d_a = space.dim // d_b if d_b else space.dim
-    return ordered.matrix, d_a, d_b, a_labels, b_labels
+    return ordered.matrix, d_a, d_b, b_labels
 
 
 def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> OptimizedValue:
     """min over sigma_B of D~_alpha(rho_AB || X_A (x) sigma_B), signed as the quantity.
 
-    X_A is rho_A for the mutual information and I_A for the conditional
-    entropy, whose value is the negated minimum.  When rho_B is rank
-    deficient, B is first restricted to supp rho_B: pinching onto it leaves
-    rho unchanged, so by data processing the optimal sigma_B lives there.
+    X_A is I_A for the conditional entropy, whose value is the negated
+    minimum, and rho_A for the mutual information, folded into the state as
+    in the module docstring.  When rho_B is rank deficient, B is first
+    restricted to supp rho_B: pinching onto it leaves rho unchanged, so by
+    data processing the optimal sigma_B lives there.
     """
     alpha = float(alpha)
     if alpha < 0.5:
         what = "mutual information" if mutual else "conditional entropy"
         raise UsageError(f"optimized {what} needs alpha >= 1/2, got {alpha}")
-    mat, d_a, d_b, _, b_labels = _split_bipartite(rho, labels)
+    mat, d_a, d_b, b_labels = _split_bipartite(rho, labels)
     b_space = rho.space.restrict(b_labels)
     t = mat.reshape(d_a, d_b, d_a, d_b)
     rho_a = np.trace(t, axis1=1, axis2=3) if mutual else None
@@ -355,15 +345,19 @@ def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> Optimiz
         s_ab, s_b = von_neumann_entropy_matrix(mat), von_neumann_entropy_matrix(rho_b)
         value = von_neumann_entropy_matrix(rho_a) + s_b - s_ab if mutual else s_ab - s_b
         return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
+    if mutual:
+        # support-only power: the pseudo-inverse one for a rank-deficient rho_A at alpha > 1
+        ac = _kron(fractional_power_matrix(rho_a, (1.0 - alpha) / (2.0 * alpha)), np.eye(d_b))
+        mat = ac @ mat @ ac
     _, vecs, support = spectrum(rho_b)
     if support.all():
-        val, sigma, resid = _min_divergence(mat, d_a, d_b, rho_a, alpha, config, warm_starts)
+        val, sigma, resid = _min_divergence(mat, d_a, d_b, alpha, config, warm_starts)
     else:
         p = vecs[:, support]
         ip = _kron(np.eye(d_a), p)
         warm = [p.conj().T @ s0 @ p for s0 in warm_starts]
-        val, sigma, resid = _min_divergence(ip.conj().T @ mat @ ip, d_a, p.shape[1], rho_a,
-                                            alpha, config, warm)
+        val, sigma, resid = _min_divergence(ip.conj().T @ mat @ ip, d_a, p.shape[1], alpha,
+                                            config, warm)
         sigma = p @ sigma @ p.conj().T
     return OptimizedValue(val if mutual else -val, LabeledOperator.square(b_space, sigma), resid,
                           "lbfgs")
@@ -506,14 +500,8 @@ def classical_conditional_entropy(joint: np.ndarray, alpha: float) -> float:
     joint = np.asarray(joint, dtype=float)
     alpha = float(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        p_b = joint.sum(axis=0)
-        tot = 0.0
-        for b in range(joint.shape[1]):
-            if p_b[b] <= 0:
-                continue
-            cond = joint[:, b] / p_b[b]
-            cond = cond[cond > 0]
-            tot += p_b[b] * float(-np.sum(cond * np.log2(cond)))
-        return tot
+        # chain rule H(X|B) = H(XB) - H(B)
+        h_xb = classical_renyi_entropy(joint, 1.0)
+        return h_xb - classical_renyi_entropy(joint.sum(axis=0), 1.0)
     inner = np.sum(joint**alpha, axis=0) ** (1.0 / alpha)
     return float((alpha / (1.0 - alpha)) * math.log2(np.sum(inner)))

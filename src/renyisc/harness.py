@@ -509,7 +509,7 @@ def brute_force_min_divergence(
     """
     from .entropies import _split_bipartite
 
-    mat, d_a, d_b, _, _ = _split_bipartite(rho, minimize_over)
+    mat, d_a, d_b, _ = _split_bipartite(rho, minimize_over)
     if d_b > 3:
         raise UsageError("brute force oracle is limited to |B| <= 3")
     rho_a = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)

@@ -192,6 +192,54 @@ def test_bad_thread_cap_exits_2(value):
     assert proc.stderr == f"error: RENYI_SC_THREADS must be an integer >= 0, got {value!r}\n"
 
 
+def _run_python(code, threads):
+    """Run ``python -c code`` on this checkout with RENYI_SC_THREADS as the only thread cap."""
+    src = os.path.dirname(os.path.dirname(rio.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in caps}
+    env.update(RENYI_SC_THREADS=threads, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+# runs the module as ``python -m renyisc.cli --help`` does, then asks numpy's
+# bundled OpenBLAS for its thread count
+_BLAS_THREADS_AFTER_CLI = """
+import ctypes, glob, os, runpy, sys
+sys.argv = ["renyisc.cli", "--help"]
+try:
+    runpy.run_module("renyisc.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+import numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+        print("THREADS", get())
+        break
+else:
+    print("THREADS none")
+"""
+
+
+def test_thread_cap_reaches_bundled_openblas():
+    proc = _run_python(_BLAS_THREADS_AFTER_CLI, "1")
+    assert proc.returncode == 0, proc.stderr
+    threads = proc.stdout.strip().splitlines()[-1].split()[1]
+    if threads == "none":
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    assert threads == "1"
+
+
+@pytest.mark.parametrize("value", ["x", "-3"])
+def test_bad_thread_cap_does_not_end_an_importer(value):
+    proc = _run_python("import renyisc.cli", value)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "entropy" in capsys.readouterr().out

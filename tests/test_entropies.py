@@ -21,7 +21,13 @@ from renyisc.entropies import (
     von_neumann_entropy,
 )
 from renyisc.errors import UsageError
-from renyisc.random_ensembles import generator, random_state, random_state_matrix
+from renyisc.linalg import fractional_power_matrix
+from renyisc.random_ensembles import (
+    generator,
+    haar_isometry_matrix,
+    random_state,
+    random_state_matrix,
+)
 from renyisc.spaces import (
     LabeledOperator,
     SystemSpace,
@@ -280,7 +286,7 @@ def test_optimizer_gradient_matches_finite_differences():
     rng = generator(9)
     rho = random_state_matrix(rng, 4)
     for alpha in (0.6, 0.75, 1.5, 2.0):
-        obj = _divergence_objective(rho, 2, 2, None, alpha)
+        obj = _divergence_objective(rho, 2, 2, alpha)
         l0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         x0 = l0.view(float).ravel()
         assert len(x0) == 8
@@ -294,6 +300,58 @@ def test_optimizer_gradient_matches_finite_differences():
             assert abs(fd - grad[i]) < 1e-5, (alpha, i, fd, grad[i])
 
 
+def _mutual_transform(rho, rho_a, d_b, alpha):
+    """(rho_A^c (x) I) rho (rho_A^c (x) I) with c = (1 - alpha)/(2 alpha)."""
+    ac = np.kron(fractional_power_matrix(rho_a, (1 - alpha) / (2 * alpha)), np.eye(d_b))
+    return ac @ rho @ ac
+
+
+def _sigma_of(x, d_b):
+    l = x.view(complex).reshape(d_b, d_b)
+    s = l @ l.conj().T
+    return s / np.trace(s).real
+
+
+@pytest.mark.parametrize("rank_a", [3, 2])
+def test_mutual_objective_is_the_divergence_from_rho_a_times_sigma(rank_a):
+    # the conditional-entropy objective on the transformed state against an
+    # independent reference D~(rho || rho_A (x) sigma), with rho_A full rank
+    # or supported on a 2-dimensional subspace of A = C^3
+    rng = generator(16)
+    v = haar_isometry_matrix(rng, 3, rank_a)
+    w = np.kron(v, np.eye(2))
+    rho = w @ random_state_matrix(rng, 2 * rank_a) @ w.conj().T
+    rho_a = np.trace(rho.reshape(3, 2, 3, 2), axis1=1, axis2=3)
+    for alpha in (0.6, 0.8, 1.5, 2.0):
+        obj = _divergence_objective(_mutual_transform(rho, rho_a, 2, alpha), 3, 2, alpha)
+
+        def reference(x):
+            return sandwiched_divergence_matrix(rho, np.kron(rho_a, _sigma_of(x, 2)), alpha)
+
+        x0 = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))).view(float).ravel()
+        value, grad = obj(x0)
+        assert_allclose(value, reference(x0), atol=1e-10)
+        eps = 1e-6
+        for i in range(len(x0)):
+            xp, xm = x0.copy(), x0.copy()
+            xp[i] += eps
+            xm[i] -= eps
+            fd = (reference(xp) - reference(xm)) / (2 * eps)
+            assert abs(fd - grad[i]) < 1e-5, (alpha, i, fd, grad[i])
+
+
+def test_mutual_information_invariant_under_local_isometry():
+    # (V (x) I) rho (V (x) I)† with V: C^2 -> C^3 has a rank-deficient rho_A
+    rng = generator(17)
+    rho = random_state_matrix(rng, 4)
+    w = np.kron(haar_isometry_matrix(rng, 3, 2), np.eye(2))
+    small = LabeledOperator.square(SystemSpace.of(("A", 2), ("B", 2)), rho)
+    big = LabeledOperator.square(SystemSpace.of(("A", 3), ("B", 2)), w @ rho @ w.conj().T)
+    for alpha in (0.6, 0.8, 1.5, 2.0):
+        assert_allclose(mutual_information(big, ["B"], alpha, CFG).value,
+                        mutual_information(small, ["B"], alpha, CFG).value, atol=1e-9)
+
+
 def test_kron_matches_numpy():
     rng = generator(15)
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -305,7 +363,7 @@ def test_optimizer_gradient_mutual_variant():
     rng = generator(10)
     rho = random_state_matrix(rng, 4)
     rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    obj = _divergence_objective(rho, 2, 2, rho_a, 0.8)
+    obj = _divergence_objective(_mutual_transform(rho, rho_a, 2, 0.8), 2, 2, 0.8)
     l0 = np.array([[0.7, 0.2 - 0.1j], [0.3j, 0.5]])
     x0 = l0.view(float).ravel()
     assert len(x0) == 8
