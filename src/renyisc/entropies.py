@@ -4,10 +4,13 @@ All values are in bits (logarithms base 2).  The optimized quantities
 (conditional entropy, mutual information) minimize over the conditioning
 state with a quasi-Newton descent on the unconstrained parametrization
 sigma = L L† / tr(L L†), L a full complex d_B x d_B matrix, with analytic
-gradients; B is first restricted to the support of rho_B.  One objective,
-D~_alpha(rho || I_A (x) sigma), serves both: with c = (1-alpha)/(2alpha),
-(rho_A (x) sigma)^c = (rho_A^c (x) I)(I (x) sigma^c) with commuting factors,
-so the mutual information runs it on (rho_A^c (x) I) rho (rho_A^c (x) I).
+gradients.  It works on a factor rho = W W†, W the (d_A, d_B, r) support
+columns sqrt(lambda_j) v_j of rho: with c = (1-alpha)/(2alpha),
+(I (x) sigma^c) rho (I (x) sigma^c) has the nonzero spectrum of the r x r
+W† (I (x) sigma^{2c}) W, and B is always taken in the eigenbasis of supp
+rho_B.  One objective serves both quantities: (rho_A (x) sigma)^c =
+(rho_A^c (x) I)(I (x) sigma^c) with commuting factors, so the mutual
+information runs it on (rho_A^c (x) I) W.
 The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi), so the descent
 stops at the first start (warm start, then Tr_A of the minimized state,
 then seeded random ones) whose gradient residual meets
@@ -29,7 +32,6 @@ import scipy.optimize
 from .errors import ConvergenceError, DimensionMismatchError, UsageError
 from .linalg import (
     SUPPORT_TOL,
-    _kron,
     fractional_power_matrix,
     schatten_norm,
     spectral_power,
@@ -214,16 +216,20 @@ def _power_adjoint(u: np.ndarray, lam: np.ndarray, c: float, h: np.ndarray) -> n
     return u @ (phi * hu) @ u.conj().T
 
 
-def _divergence_objective(rho_ab: np.ndarray, d_a: int, d_b: int, alpha: float):
-    """Objective x -> (D(rho_AB || I_A (x) sigma(x)), gradient).
+def _divergence_objective(w: np.ndarray, alpha: float):
+    """Objective x -> (D(W W† || I_A (x) sigma(x)), gradient).
 
-    ``x`` holds the real and imaginary parts of a full complex d_B x d_B
-    factor L, interleaved (``L.view(float)``), of the unnormalized
-    conditioning state sigma(x) = L L†.  ``rho_ab`` need not have unit
-    trace.
+    ``w`` is a (d_A, d_B, r) factor of the state W W†, which need not have
+    unit trace.  ``x`` holds the real and imaginary parts of a full complex
+    d_B x d_B factor L, interleaved (``L.view(float)``), of the
+    unnormalized conditioning state sigma(x) = L L†.
     """
-    c = (1.0 - alpha) / (2.0 * alpha)
-    eye_a = np.eye(d_a)
+    d_a, d_b, r = w.shape
+    # W with B as the row index: sigma^{2c} acts by one product from the left
+    wb = w.transpose(1, 0, 2).reshape(d_b, d_a * r)
+    wf = wb.reshape(d_b * d_a, r)
+    wfh, wbh = wf.conj().T, wb.conj().T
+    c2 = (1.0 - alpha) / alpha
     pref = alpha / (alpha - 1.0) / LN2
 
     def objective(x):
@@ -235,12 +241,9 @@ def _divergence_objective(rho_ab: np.ndarray, d_a: int, d_b: int, alpha: float):
         sigma = s / trs
         lam, u = np.linalg.eigh(sigma)
         lam = np.clip(lam, 1e-30, None)
-        sc = (u * lam**c) @ u.conj().T
-        k = _kron(eye_a, sc)
-        m = k @ rho_ab @ k
+        m = wfh @ (((u * lam**c2) @ u.conj().T) @ wb).reshape(d_b * d_a, r)
         mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
-        mtop = max(mvals[-1], 0.0)
-        clip = mtop * 1e-14
+        clip = mvals.max(initial=0.0) * 1e-14
         pos = mvals > clip
         t = float(np.sum(mvals[pos] ** alpha))
         if t <= 0 or not np.isfinite(t):
@@ -249,10 +252,10 @@ def _divergence_objective(rho_ab: np.ndarray, d_a: int, d_b: int, alpha: float):
         mpow_vals = np.zeros_like(mvals)
         mpow_vals[pos] = mvals[pos] ** (alpha - 1.0)
         mpow = (mvecs * mpow_vals) @ mvecs.conj().T
-        g = rho_ab @ k @ mpow + mpow @ k @ rho_ab
-        h_b = np.trace(g.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
+        # Tr_A[W M^(alpha-1) W†], the derivative of Tr M^alpha / alpha in sigma^{2c}
+        h_b = (wf @ mpow).reshape(d_b, d_a * r) @ wbh
         h_b = (h_b + h_b.conj().T) / 2
-        g_sigma = (pref / t) * _power_adjoint(u, lam, c, h_b)
+        g_sigma = (pref / t) * _power_adjoint(u, lam, c2, h_b)
         gs = (g_sigma - float(np.trace(g_sigma @ sigma).real) * np.eye(d_b)) / trs
         return f, (2.0 * (gs @ l)).view(float).ravel()
 
@@ -260,26 +263,25 @@ def _divergence_objective(rho_ab: np.ndarray, d_a: int, d_b: int, alpha: float):
 
 
 def _min_divergence(
-    rho_ab: np.ndarray,
-    d_a: int,
-    d_b: int,
+    w: np.ndarray,
     alpha: float,
     config: OptimizerConfig,
     warm_starts=(),
 ) -> tuple[float, np.ndarray, float]:
-    """min over sigma_B of D(rho_AB || I_A (x) sigma_B) for alpha != 1.
+    """min over sigma_B of D(W W† || I_A (x) sigma_B) for alpha != 1.
 
-    Starts run in order (warm starts, Tr_A rho_AB, then seeded random
-    ones, ``config.starts`` in all) until one ends with a finite value and
-    a gradient residual of at most ``config.tol``.  Returns (value, sigma,
-    gradient-norm residual) of that start, or of the lowest-value start
-    when none converges.
+    Starts run in order (warm starts, Tr_A W W†, then seeded random ones,
+    ``config.starts`` in all) until one ends with a gradient residual of at
+    most ``config.tol``.  Returns (value, sigma, gradient-norm residual) of
+    that start, or of the lowest-value start when none converges.  A start
+    that ends on ``_FAILED`` is skipped; ConvergenceError when all do.
     """
-    objective = _divergence_objective(rho_ab, d_a, d_b, alpha)
+    d_b = w.shape[1]
+    objective = _divergence_objective(w, alpha)
     rng = generator(_START_SEED)
-    # warm starts, then a deterministic start at Tr_A rho_AB
+    # warm starts, then a deterministic start at Tr_A W W†
     starts = [np.asarray(s0, dtype=complex) for s0 in warm_starts]
-    starts.append(np.trace(rho_ab.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2))
+    starts.append(np.tensordot(w, w.conj(), axes=([0, 2], [0, 2])))
     while len(starts) < max(config.starts, len(warm_starts) + 1):
         g0 = ginibre(rng, d_b, d_b)
         m0 = g0 @ g0.conj().T
@@ -297,8 +299,10 @@ def _min_divergence(
             method="L-BFGS-B",
             options={"maxiter": _MAXITER, "ftol": _FTOL, "gtol": _GTOL},
         )
+        if not np.isfinite(res.fun) or res.fun == _FAILED:
+            continue
         gnorm = float(np.max(np.abs(res.jac)))
-        converged = gnorm <= config.tol and np.isfinite(res.fun) and res.fun != _FAILED
+        converged = gnorm <= config.tol
         if converged or res.fun < best[0]:
             l = res.x.view(complex).reshape(d_b, d_b)
             s = l @ l.conj().T
@@ -327,10 +331,10 @@ def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> Optimiz
     """min over sigma_B of D~_alpha(rho_AB || X_A (x) sigma_B), signed as the quantity.
 
     X_A is I_A for the conditional entropy, whose value is the negated
-    minimum, and rho_A for the mutual information, folded into the state as
-    in the module docstring.  When rho_B is rank deficient, B is first
-    restricted to supp rho_B: pinching onto it leaves rho unchanged, so by
-    data processing the optimal sigma_B lives there.
+    minimum, and rho_A for the mutual information, folded into W as in the
+    module docstring.  B is taken in the eigenbasis P of supp rho_B (unitary
+    at full rank): pinching onto it leaves rho unchanged, so by data
+    processing the optimal sigma_B lives there.
     """
     alpha = float(alpha)
     if alpha < 0.5:
@@ -345,22 +349,17 @@ def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> Optimiz
         s_ab, s_b = von_neumann_entropy_matrix(mat), von_neumann_entropy_matrix(rho_b)
         value = von_neumann_entropy_matrix(rho_a) + s_b - s_ab if mutual else s_ab - s_b
         return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
+    vals, vecs, support = spectrum(mat)
+    w = (vecs[:, support] * np.sqrt(vals[support])).reshape(d_a, d_b, -1)
     if mutual:
         # support-only power: the pseudo-inverse one for a rank-deficient rho_A at alpha > 1
-        ac = _kron(fractional_power_matrix(rho_a, (1.0 - alpha) / (2.0 * alpha)), np.eye(d_b))
-        mat = ac @ mat @ ac
+        w = np.tensordot(fractional_power_matrix(rho_a, (1.0 - alpha) / (2.0 * alpha)), w, axes=1)
     _, vecs, support = spectrum(rho_b)
-    if support.all():
-        val, sigma, resid = _min_divergence(mat, d_a, d_b, alpha, config, warm_starts)
-    else:
-        p = vecs[:, support]
-        ip = _kron(np.eye(d_a), p)
-        warm = [p.conj().T @ s0 @ p for s0 in warm_starts]
-        val, sigma, resid = _min_divergence(ip.conj().T @ mat @ ip, d_a, p.shape[1], alpha,
-                                            config, warm)
-        sigma = p @ sigma @ p.conj().T
-    return OptimizedValue(val if mutual else -val, LabeledOperator.square(b_space, sigma), resid,
-                          "lbfgs")
+    p = vecs[:, support]
+    val, sigma, resid = _min_divergence(np.matmul(p.conj().T, w), alpha, config,
+                                        [p.conj().T @ s0 @ p for s0 in warm_starts])
+    return OptimizedValue(val if mutual else -val,
+                          LabeledOperator.square(b_space, p @ sigma @ p.conj().T), resid, "lbfgs")
 
 
 def conditional_entropy(

@@ -33,6 +33,8 @@ def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:
         raise UsageError(f"malformed {where}: expected [[[re, im], ...], ...] ({exc})")
     if m.ndim != 2:
         raise UsageError(f"malformed {where}: not a 2-d array")
+    if not np.isfinite(m).all():
+        raise UsageError(f"malformed {where}: non-finite entry")
     return m
 
 

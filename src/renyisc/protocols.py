@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,11 @@ _REGISTERS = {
 
 
 def _size(value, name: str) -> int:
-    try:
-        size = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if size < 1:
-        raise UsageError(f"{name} must be >= 1, got {size}")
-    return size
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def _check_register(name: str, value):
@@ -221,7 +220,7 @@ def _codeword(table: dict, key: str):
     if key not in table:
         raise UsageError(f"encoding table missing input {key!r}")
     val = table[key]
-    if not isinstance(val, (int, str)):
+    if isinstance(val, bool) or not isinstance(val, (int, str)):
         raise UsageError(f"table value {val!r} is not an n-symbol string")
     return val
 

@@ -13,7 +13,7 @@ from renyisc.channels import identity_channel
 from renyisc.cli import main
 from renyisc.protocols import REDISTRIBUTION, ProtocolInstance
 from renyisc.random_ensembles import random_cq_state, random_state
-from renyisc.spaces import SystemSpace, maximally_mixed
+from renyisc.spaces import LabeledOperator, SystemSpace, maximally_mixed
 
 
 @pytest.fixture
@@ -41,7 +41,8 @@ def test_entropy_missing_file_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "diag, cause", [([1.5, -0.5], "negative eigenvalue"), ([0.6, 0.6], "trace")]
+    "diag, cause",
+    [([1.5, -0.5], "negative eigenvalue"), ([0.6, 0.6], "trace"), ([math.nan, 1.0], "non-finite")],
 )
 def test_entropy_invalid_state_file_exits_2(tmp_path, capsys, diag, cause):
     from renyisc.spaces import LabeledOperator
@@ -55,6 +56,18 @@ def test_entropy_invalid_state_file_exits_2(tmp_path, capsys, diag, cause):
     assert captured.out == ""
     assert str(path) in captured.err
     assert cause in captured.err
+
+
+@pytest.mark.parametrize("command", [["entropy"], ["conditional-entropy", "--given", "B"]])
+def test_non_finite_off_diagonal_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "nan_state.json"
+    m = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
+    rio.save_state(str(path), LabeledOperator.square(SystemSpace.of(("A", 2), ("B", 1)), m))
+    assert main([command[0], "--input", str(path), "--alpha", "2", *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+    assert ".matrix: non-finite" in captured.err
 
 
 def test_unknown_flag_exits_2(mm2, capsys):
@@ -342,6 +355,13 @@ def _put(value, *path):
     return edit
 
 
+def _both(first, second):
+    def edit(d):
+        first(d)
+        second(d)
+    return edit
+
+
 def _rekey(new):
     def edit(d):
         d["decoder_povms"] = {new: d["decoder_povms"]["0"]}
@@ -355,12 +375,25 @@ def _rekey(new):
         pytest.param("measurement-compression", _drop("registers", "l"), "'l'", id="missing-l"),
         pytest.param("feedback", _drop("registers", "forward"), "'forward'", id="missing-forward"),
         pytest.param("redistribution", _put("x", "copies"), "copies", id="copies-x"),
+        pytest.param("redistribution", _put(1.9, "copies"), "copies", id="copies-fraction"),
+        pytest.param("redistribution", _put("2", "copies"), "copies", id="copies-string"),
+        pytest.param("redistribution", _put(True, "registers", "k"), "'k'", id="k-true"),
+        pytest.param("compression", _put(2.7, "registers", "c"), "'c'", id="c-fraction"),
+        pytest.param("redistribution", _put([math.nan, 0.0], "state", "matrix", 0, 1),
+                     "state.matrix: non-finite", id="state-nan"),
+        pytest.param("measurement-compression",
+                     _put([math.inf, 0.0], "encoders", 0, "isometry", 0, 0),
+                     "encoders[0].isometry: non-finite", id="isometry-inf"),
+        pytest.param("measurement-compression", _put([0.5, math.nan], "povm", 0, 0, 0),
+                     "povm[0]: non-finite", id="povm-nan"),
         pytest.param("redistribution", _put("two", "registers", "k"), "'k'", id="k-two"),
         pytest.param("redistribution", _put([2], "registers"), "registers", id="registers-list"),
         pytest.param("compression", _drop("e_table"), "e_table", id="missing-e-table"),
         pytest.param("compression", _put([["0", "0"]], "e_table"), "e_table", id="e-table-list"),
         pytest.param("compression", _put("x", "e_table", "1"), "table value 'x'", id="e-value-x"),
         pytest.param("compression", _put([0], "e_table", "1"), "table value [0]", id="e-value-list"),
+        pytest.param("compression", _both(_put(2, "registers", "c"), _put(True, "e_table", "1")),
+                     "table value True", id="e-value-true"),
         pytest.param("compression", _put(3, "e_table", "1"), "table value 3 out of range",
                      id="e-value-range"),
         pytest.param("compression", _put("3", "e_table", "1"), "table value '3'",

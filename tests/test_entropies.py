@@ -8,7 +8,6 @@ from renyisc import entropies
 from renyisc.entropies import (
     OptimizerConfig,
     _divergence_objective,
-    _kron,
     alpha_params,
     classical_conditional_entropy,
     classical_renyi_entropy,
@@ -20,8 +19,8 @@ from renyisc.entropies import (
     sandwiched_divergence_matrix,
     von_neumann_entropy,
 )
-from renyisc.errors import UsageError
-from renyisc.linalg import fractional_power_matrix
+from renyisc.errors import ConvergenceError, UsageError
+from renyisc.linalg import _kron, fractional_power_matrix, purify
 from renyisc.random_ensembles import (
     generator,
     haar_isometry_matrix,
@@ -282,11 +281,17 @@ def test_mutual_information_nonnegative():
         assert mutual_information(rho, ["B"], a, CFG).value > -1e-8
 
 
+def _factor(rho, d_a, d_b):
+    """A (d_a, d_b, d_a d_b) factor W of rho = W W†."""
+    vals, vecs = np.linalg.eigh(rho)
+    return (vecs * np.sqrt(np.clip(vals, 0, None))).reshape(d_a, d_b, -1)
+
+
 def test_optimizer_gradient_matches_finite_differences():
     rng = generator(9)
     rho = random_state_matrix(rng, 4)
     for alpha in (0.6, 0.75, 1.5, 2.0):
-        obj = _divergence_objective(rho, 2, 2, alpha)
+        obj = _divergence_objective(_factor(rho, 2, 2), alpha)
         l0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         x0 = l0.view(float).ravel()
         assert len(x0) == 8
@@ -323,7 +328,7 @@ def test_mutual_objective_is_the_divergence_from_rho_a_times_sigma(rank_a):
     rho = w @ random_state_matrix(rng, 2 * rank_a) @ w.conj().T
     rho_a = np.trace(rho.reshape(3, 2, 3, 2), axis1=1, axis2=3)
     for alpha in (0.6, 0.8, 1.5, 2.0):
-        obj = _divergence_objective(_mutual_transform(rho, rho_a, 2, alpha), 3, 2, alpha)
+        obj = _divergence_objective(_factor(_mutual_transform(rho, rho_a, 2, alpha), 3, 2), alpha)
 
         def reference(x):
             return sandwiched_divergence_matrix(rho, np.kron(rho_a, _sigma_of(x, 2)), alpha)
@@ -363,7 +368,7 @@ def test_optimizer_gradient_mutual_variant():
     rng = generator(10)
     rho = random_state_matrix(rng, 4)
     rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    obj = _divergence_objective(_mutual_transform(rho, rho_a, 2, 0.8), 2, 2, 0.8)
+    obj = _divergence_objective(_factor(_mutual_transform(rho, rho_a, 2, 0.8), 2, 2), 0.8)
     l0 = np.array([[0.7, 0.2 - 0.1j], [0.3j, 0.5]])
     x0 = l0.view(float).ravel()
     assert len(x0) == 8
@@ -429,13 +434,62 @@ def test_divergence_labeled_wrapper():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_two_copy_additivity_on_rank_one_states(d_b, seed):
     # S~_alpha(A|B) and I~_alpha(A;B) are additive on rho (x) rho; on a rank-1
-    # state rho_B is rank deficient and the optimal sigma_B lives on its support
-    rho = random_state(SystemSpace.of(("A", 2), ("B", d_b)), seed=seed, rank=1)
-    copy = LabeledOperator.square(SystemSpace.of(("A2", 2), ("B2", d_b)), rho.matrix)
-    pair = rho.tensor(copy)
-    for quantity in (conditional_entropy, mutual_information):
-        for alpha in (1.5, 2.0):
-            one = quantity(rho, ["B"], alpha, CFG)
-            two = quantity(pair, ["B", "B2"], alpha, CFG)
-            assert abs(two.value - 2 * one.value) <= 1e-6, (quantity, alpha, two.value, one.value)
-            assert one.residual <= CFG.tol and two.residual <= CFG.tol, (quantity, alpha)
+    # state rho_B is rank deficient and the optimal sigma_B lives on its support.
+    # With d_B = 4, rank-2 states at alpha = 0.51 have a nearly rank-deficient
+    # optimal sigma on the two copies.
+    cases = [(1, (1.5, 2.0), 1e-6)] + ([(2, (0.51,), 1e-9)] if d_b == 4 else [])
+    for rank, alphas, bound in cases:
+        rho = random_state(SystemSpace.of(("A", 2), ("B", d_b)), seed=seed, rank=rank)
+        copy = LabeledOperator.square(SystemSpace.of(("A2", 2), ("B2", d_b)), rho.matrix)
+        pair = rho.tensor(copy)
+        for quantity in (conditional_entropy, mutual_information):
+            for alpha in alphas:
+                one = quantity(rho, ["B"], alpha, CFG)
+                two = quantity(pair, ["B", "B2"], alpha, CFG)
+                assert abs(two.value - 2 * one.value) <= bound, (quantity, alpha, two.value,
+                                                                 one.value)
+                assert one.residual <= CFG.tol and two.residual <= CFG.tol, (
+                    quantity, rank, alpha, one.residual, two.residual)
+
+
+@pytest.mark.parametrize("quantity", [conditional_entropy, mutual_information])
+def test_objective_decomposes_only_the_rank_sized_matrix(monkeypatch, quantity):
+    # rho_RAB of a purified full-rank (2,2,2) state: 32-dimensional, rank 2,
+    # with d_B = 2; only the factor of rho (and rho_A, for the mutual
+    # information) needs a decomposition larger than 2 x 2
+    psi = purify(random_state(SystemSpace.of(("A", 2), ("B", 2), ("C", 2)), seed=18))
+    rho = partial_trace(psi, {"R", "A", "B"})
+    assert rho.matrix.shape == (32, 32) and np.linalg.matrix_rank(rho.matrix) == 2
+    real, sizes = np.linalg.eigh, []
+
+    def counting_eigh(m, *args, **kwargs):
+        sizes.append(m.shape[0])
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    out = quantity(rho, ["B"], 0.75, CFG)
+    assert out.residual <= CFG.tol
+    large = sorted(n for n in sizes if n > 2)
+    assert large == ([16, 32] if quantity is mutual_information else [32]), large
+    assert sizes.count(2) > 4  # a d_B x d_B and an r x r one per evaluation
+
+
+def test_every_start_failing_raises(monkeypatch):
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=19)
+
+    def always_failing(*args):
+        return lambda x: (entropies._FAILED, np.zeros_like(x))
+
+    monkeypatch.setattr(entropies, "_divergence_objective", always_failing)
+    runs = _count_minimize_runs(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        conditional_entropy(rho, ["B"], 2.0, CFG)
+    assert runs == [entropies._FAILED] * CFG.starts
+
+
+def test_non_finite_state_raises_convergence_error():
+    # NaN off-diagonals make every start end on the failure value
+    m = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+    rho = LabeledOperator.square(SystemSpace.of(("A", 2), ("B", 1)), m)
+    with pytest.raises(ConvergenceError):
+        conditional_entropy(rho, ["B"], 2.0, CFG)
