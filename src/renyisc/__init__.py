@@ -77,7 +77,6 @@ from .protocols import (
     pretty_good_decoder,
     run_protocol,
     specialize,
-    uniform_shared_randomness,
 )
 from .spaces import (
     LabeledOperator,
@@ -130,7 +129,6 @@ __all__ = [
     "run_inequality_suite",
     "run_protocol",
     "specialize",
-    "uniform_shared_randomness",
     "vn_limit_check",
     "alpha_params",
     "cmi_generalizations",

@@ -101,9 +101,9 @@ class _BoundEvaluator:
         kind, state = self.kind, self.state
         if kind not in _RATE_KEYS:
             raise UsageError(f"unknown protocol kind {kind!r}")
-        missing = [key for key in _RATE_KEYS[kind] if key not in self.rates]
-        if missing:
-            raise UsageError(f"{kind} bounds need the rate {missing[0]!r}")
+        for key in _RATE_KEYS[kind]:
+            if not np.isfinite(self.rates.get(key, np.nan)):
+                raise UsageError(f"{kind} bounds need a finite rate {key!r}")
         if kind in (REDISTRIBUTION, FEEDBACK, MERGING, SPLITTING):
             labels = set(state.space.labels)
             if kind == SPLITTING and not labels >= {"A", "C"}:
@@ -125,12 +125,13 @@ class _BoundEvaluator:
             self._marginals[key] = partial_trace(source, keep)
         return self._marginals[key]
 
-    def _optimized(self, quantity, tag: str, rho: LabeledOperator, labels, alpha: float) -> float:
-        """``quantity`` (conditional_entropy or mutual_information), warm-started under ``tag``."""
-        warm = self._warm.get(tag)
+    def _optimized(self, quantity, rho: LabeledOperator, labels, alpha: float) -> float:
+        """``quantity``, warm-started per call site: ``rho`` is cached, so its id is stable."""
+        key = (quantity, id(rho), tuple(labels))
+        warm = self._warm.get(key)
         warm_starts = () if warm is None else (warm,)
         out = quantity(rho, labels, alpha, self.config, warm_starts=warm_starts)
-        self._warm[tag] = out.optimizer.matrix
+        self._warm[key] = out.optimizer.matrix
         return out.value
 
     def expressions(self, alpha: float) -> list[tuple[str, float, float, float]]:
@@ -149,8 +150,8 @@ class _BoundEvaluator:
             rho_rab = self.marginal(self.psi, {"R", "A", "B"})
             rho_rb = self.marginal(self.psi, {"R", "B"})
             expr1 = renyi_entropy(rho_ab, b) - renyi_entropy(rho_b, a)
-            expr2 = cond("RB", rho_rb, ["B"], b) - cond("RAB", rho_rab, ["A", "B"], a)
-            expr3 = mut("mRAB", rho_rab, ["A", "B"], a) - mut("mRB", rho_rb, ["B"], b)
+            expr2 = cond(rho_rb, ["B"], b) - cond(rho_rab, ["A", "B"], a)
+            expr3 = mut(rho_rab, ["A", "B"], a) - mut(rho_rb, ["B"], b)
             if kind == REDISTRIBUTION:
                 q, e = rates["q"], rates["e"]
                 out.append(("redistribution-q+e", kap, expr1, q + e))
@@ -168,7 +169,7 @@ class _BoundEvaluator:
             rho_r = self.marginal(self.psi, {"R"})
             q, e = rates["q_csm"], rates["e_csm"]
             expr1 = renyi_entropy(rho_ab, b) - renyi_entropy(rho_b, a)
-            expr2 = renyi_entropy(rho_r, b) - cond("RA", rho_ra, ["A"], a)
+            expr2 = renyi_entropy(rho_r, b) - cond(rho_ra, ["A"], a)
             out.append(("merging-q-e", kap, expr1, q - e))
             out.append(("merging-2q", kap, expr2, 2 * q))
         elif kind == SPLITTING:
@@ -177,8 +178,8 @@ class _BoundEvaluator:
             rho_r = self.marginal(self.psi, {"R"})
             q, e = rates["q"], rates["e"]
             expr1 = renyi_entropy(rho_a, b)
-            expr2 = renyi_entropy(rho_r, b) - cond("RA", rho_ra, ["A"], a)
-            expr3 = mut("mRA", rho_ra, ["A"], a)
+            expr2 = renyi_entropy(rho_r, b) - cond(rho_ra, ["A"], a)
+            expr3 = mut(rho_ra, ["A"], a)
             out.append(("splitting-q+e", kap, expr1, q + e))
             out.append(("splitting-2q-cond", kap, expr2, 2 * q))
             out.append(("splitting-2q-mutual", kap, expr3, 2 * q))
@@ -186,21 +187,21 @@ class _BoundEvaluator:
             phi_rb = self.marginal(self.state, {"R", "B"})
             phi_rxb = self.marginal(self.state, {"R", "X", "B"})
             c = rates["c"]
-            expr = cond("RB", phi_rb, ["B"], b) - cond("RXB", phi_rxb, ["X", "B"], a)
+            expr = cond(phi_rb, ["B"], b) - cond(phi_rxb, ["X", "B"], a)
             out.append(("measurement-compression-c", kap, expr, c))
         elif kind == RANDOMNESS_EXTRACTION:
             rho_b = self.marginal(self.state, {self.state.space.labels[1]})
             l = rates["l"]
             kap4 = kap / 2.0
             expr1 = renyi_entropy(self.state, a) - renyi_entropy(rho_b, b)
-            expr2 = cond("XB", self.state, [self.state.space.labels[1]], a)
+            expr2 = cond(self.state, [self.state.space.labels[1]], a)
             out.append(("randomness-extraction-linear", kap4, expr1, l))
             out.append(("randomness-extraction-cond", kap4, expr2, l))
         elif kind == DATA_COMPRESSION:
             rho_b = self.marginal(self.state, {self.state.space.labels[1]})
             m = rates["m"]
             expr1 = renyi_entropy(self.state, b) - renyi_entropy(rho_b, a)
-            expr2 = cond("XB", self.state, [self.state.space.labels[1]], b)
+            expr2 = cond(self.state, [self.state.space.labels[1]], b)
             out.append(("data-compression-linear", kap, expr1, m))
             out.append(("data-compression-cond", kap, expr2, m))
         return out

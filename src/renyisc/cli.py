@@ -84,14 +84,13 @@ def _labels(spec: str) -> list:
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as f:
-            f.write(text)
+        _io.write_text(output, text)
     else:
         sys.stdout.write(text)
 
 
-def _print_scalar(x: float):
-    print(repr(float(x)))
+def _emit_scalar(x: float, output: str | None):
+    _emit(repr(float(x)) + "\n", output)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,26 +173,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_entropy(args) -> int:
     rho = _io.load_state(args.input)
-    _print_scalar(renyi_entropy(rho, args.alpha))
+    _emit_scalar(renyi_entropy(rho, args.alpha), args.output)
     return 0
 
 
 def _cmd_divergence(args) -> int:
     rho = _io.load_state(args.input)
     sigma = _io.load_state(args.sigma)
-    _print_scalar(sandwiched_divergence(rho, sigma, args.alpha))
+    _emit_scalar(sandwiched_divergence(rho, sigma, args.alpha), args.output)
     return 0
 
 
 def _cmd_conditional_entropy(args) -> int:
     rho = _io.load_state(args.input)
-    _print_scalar(conditional_entropy(rho, _labels(args.given), args.alpha).value)
+    _emit_scalar(conditional_entropy(rho, _labels(args.given), args.alpha).value, args.output)
     return 0
 
 
 def _cmd_mutual_info(args) -> int:
     rho = _io.load_state(args.input)
-    _print_scalar(mutual_information(rho, _labels(args.over), args.alpha).value)
+    _emit_scalar(mutual_information(rho, _labels(args.over), args.alpha).value, args.output)
     return 0
 
 
@@ -204,7 +203,7 @@ def _cmd_cmi(args) -> int:
     else:
         first, second = cmi_generalizations(rho, args.a, args.b, args.c, args.alpha)
         val = first if args.variant == "first" else second
-    _print_scalar(val)
+    _emit_scalar(val, args.output)
     return 0
 
 

@@ -180,9 +180,16 @@ def load_state(path: str) -> LabeledOperator:
     return state_from_dict(load_json_file(path), where=path)
 
 
+def write_text(path: str, text: str):
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
 def save_state(path: str, op: LabeledOperator):
-    with open(path, "w") as f:
-        f.write(dump_json(state_to_dict(op)))
+    write_text(path, dump_json(state_to_dict(op)))
 
 
 def load_instance(path: str) -> ProtocolInstance:

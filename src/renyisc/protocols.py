@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .channels import ChannelSpec, bystander_space, check_povm, measurement_channel
-from .errors import BudgetExceededError, DimensionMismatchError, UsageError
+from .errors import BudgetExceededError, ConvergenceError, DimensionMismatchError, UsageError
 from .entropies import conditional_entropy
 from .linalg import _kron, fidelity_matrix, fractional_power_matrix, purification_vector, trace_norm
 from .spaces import LabeledOperator, SystemSpace, permute_systems
@@ -134,7 +134,6 @@ class ProtocolInstance:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    final_state: LabeledOperator
     merit: float
     costs: dict
 
@@ -385,12 +384,12 @@ def _run_channels(state: _PureState, steps) -> _PureState:
     return state
 
 
-def _run_isometric(rho: LabeledOperator, k: int, m: int, steps):
-    """(final state, merit) of ``steps`` on |psi>|Phi_k>, against psi (x) Phi_m."""
+def _run_isometric(rho: LabeledOperator, k: int, m: int, steps) -> float:
+    """The merit of ``steps`` on |psi>|Phi_k>, against psi (x) Phi_m."""
     psi = _purified(rho, k * k)
     state = _run_channels(psi.tensor(_mes(k, "TA", "TB")), steps)
     target = psi.rename({"A": "Ap", "B": "Bp", "C": "Cp"}).tensor(_mes(m, "TAp", "TBp"))
-    return state.density(), _merit(state, target)
+    return _merit(state, target)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +403,7 @@ def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
     k, m, q = int(regs.get("k", 1)), int(regs.get("m", 1)), int(regs["q"])
     steps = [(ch, {"A", "C", "TA"}) for ch in inst.encoders]
     steps += [(ch, {"Q", "B", "TB"}) for ch in inst.decoders]
-    final, merit = _run_isometric(inst.input_state, k, m, steps)
+    merit = _run_isometric(inst.input_state, k, m, steps)
     n = inst.copies
     costs = {"q": _log2_int(q) / n, "e": (_log2_int(k) - _log2_int(m)) / n}
     if inst.kind == MERGING:
@@ -413,7 +412,7 @@ def run_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
     if inst.kind == SPLITTING:
         costs["q_qss"] = costs["q"]
         costs["e_qss"] = costs["e"]
-    return ProtocolOutcome(final, merit, costs)
+    return ProtocolOutcome(merit, costs)
 
 
 def specialize(kind: str, input_state: LabeledOperator, registers: dict,
@@ -472,7 +471,7 @@ def run_feedback_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
         raise UsageError("need exactly M-1 backward register sizes")
     k, m = int(regs.get("k", 1)), int(regs.get("m", 1))
     steps = [(ch, None) for pair in zip(inst.encoders, inst.decoders) for ch in pair]
-    final, merit = _run_isometric(inst.input_state, k, m, steps)
+    merit = _run_isometric(inst.input_state, k, m, steps)
     n = inst.copies
     q_fw = sum(_log2_int(x) for x in forward) / n
     q_tot = q_fw + sum(_log2_int(x) for x in backward) / n
@@ -481,7 +480,7 @@ def run_feedback_redistribution(inst: ProtocolInstance) -> ProtocolOutcome:
         "q_tot": q_tot,
         "e": (_log2_int(k) - _log2_int(m)) / n,
     }
-    return ProtocolOutcome(final, merit, costs)
+    return ProtocolOutcome(merit, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +492,6 @@ def _shared_randomness(size: int) -> _PureState:
     m = np.zeros((size * size, size), dtype=complex)
     m[np.arange(size) * (size + 1), np.arange(size)] = 1.0 / math.sqrt(size)
     return _PureState(SystemSpace.of(("MA", size), ("MB", size)), m)
-
-
-def uniform_shared_randomness(size: int) -> LabeledOperator:
-    return _shared_randomness(size).density()
 
 
 def _measured(psi: _PureState, povm) -> _PureState:
@@ -523,10 +518,10 @@ def run_measurement_compression(inst: ProtocolInstance) -> ProtocolOutcome:
     steps += [(ch, {"L", "B", "MB"}) for ch in inst.decoders]
     state = _run_channels(psi.tensor(_shared_randomness(ma_size)), steps)
     state = state.keep({"R", "Xb", "Xh", "Bp"}).rename({"Xb": "X", "Xh": "Xp", "Bp": "B"})
-    final, merit = state.density(), _merit(state, ideal)
+    merit = _merit(state, ideal)
     n = inst.copies
     costs = {"c": _log2_int(l_size) / n, "r": _log2_int(ma_size) / n}
-    return ProtocolOutcome(final, merit, costs)
+    return ProtocolOutcome(merit, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -557,22 +552,21 @@ def run_randomness_extraction(inst: ProtocolInstance) -> ProtocolOutcome:
     db = states[0].shape[0]
     _check_budget(z_size * db**n)
     blocks = _cq_blocks_from_table(p, states, inst.e_table, n, z_per_copy, z_size)
-    space = SystemSpace.of(("Z", z_size), ("Bn", db**n))
-    final = LabeledOperator.square(space, block_diag(*blocks))
     f_prime = _block_fidelity(blocks, np.sum(blocks, axis=0))
+    merit = f_prime
     if db**n > 1:
         # max over sigma of F(omega_ZB, pi_Z (x) sigma) = 2^{S~_1/2(Z|B)/2} / sqrt|Z|
         # (Konig-Renner-Schaffner)
-        merit = 2 ** (conditional_entropy(final, ["Bn"], 0.5).value / 2) / math.sqrt(z_size)
-    else:
-        merit = f_prime
-    merit = max(merit, f_prime)
+        space = SystemSpace.of(("Z", z_size), ("Bn", db**n))
+        omega = LabeledOperator.square(space, block_diag(*blocks))
+        s_half = conditional_entropy(omega, ["Bn"], 0.5).value
+        merit = max(2 ** (s_half / 2) / math.sqrt(z_size), f_prime)
     upper = math.sqrt(max(f_prime, 0.0))
     if merit > upper + 1e-8:
-        raise UsageError("merit escaped its fidelity bracket; optimizer defect")
+        raise ConvergenceError("merit escaped its fidelity bracket", best_value=merit)
     merit = min(merit, upper, 1.0)
     costs = {"l": _log2_int(z_size) / n}
-    return ProtocolOutcome(final, merit, costs)
+    return ProtocolOutcome(merit, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +641,7 @@ def run_data_compression(inst: ProtocolInstance) -> ProtocolOutcome:
                 p_succ += probs[i] * float(np.sum(elem * st.T).real)
     p_succ = min(max(p_succ, 0.0), 1.0)
     costs = {"m": _log2_int(c_size) / n}
-    return ProtocolOutcome(inst.input_state, p_succ, costs)
+    return ProtocolOutcome(p_succ, costs)
 
 
 def run_protocol(inst: ProtocolInstance) -> ProtocolOutcome:

@@ -1,5 +1,6 @@
 """Program names that the benchmark harness in ``bench/`` reaches for."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,14 @@ def test_tracing_spans_resolve():
 def test_bench_optimizer_config_constructs():
     # bench/checks.py scores the extraction merit under this setting
     assert renyisc.OptimizerConfig(starts=3).starts == 3
+
+
+def test_protocol_outcome_replaces_merit():
+    # bench/workload.py's negative control shifts a simulated merit this way
+    from renyisc.harness import _random_redistribution_instance
+    from renyisc.random_ensembles import generator
+
+    out = renyisc.run_protocol(_random_redistribution_instance(generator(0)))
+    shifted = dataclasses.replace(out, merit=out.merit + 1e-6)
+    assert shifted.merit == out.merit + 1e-6
+    assert shifted.costs == out.costs

@@ -111,6 +111,48 @@ def test_mutual_info_and_cmi(tmp_path, capsys):
     assert math.isfinite(float(capsys.readouterr().out))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--input", "{mm2}", "--alpha", "2"],
+        ["divergence", "--input", "{mm2}", "--sigma", "{mm2}", "--alpha", "2"],
+        ["conditional-entropy", "--input", "{cq}", "--given", "B", "--alpha", "2"],
+        ["mutual-info", "--input", "{cq}", "--over", "B", "--alpha", "2"],
+        ["cmi", "--input", "{abc}", "--alpha", "1.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scalar_output_goes_to_file(mm2, cq, tmp_path, capsys, argv):
+    abc = tmp_path / "abc.json"
+    rio.save_state(str(abc), random_state(SystemSpace.of(("A", 2), ("B", 2), ("C", 2)), seed=4))
+    argv = [a.format(mm2=mm2, cq=cq, abc=abc) for a in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "scalar.txt"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    assert math.isfinite(float(printed))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--input", "{mm2}", "--alpha", "2", "--output", "{bad}/out.txt"],
+        ["exponent-curve", "--kind", "data-compression", "--input", "{cq}", "--rates", "m=1",
+         "--grid", "0.6:0.9:2", "--output", "{bad}/out.csv"],
+        ["falsify", "--trials", "2000", "--seed", "0", "--output-dir", "{bad}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_2(mm2, cq, tmp_path, capsys, argv):
+    bad = tmp_path / "missing"
+    assert main([a.format(mm2=mm2, cq=cq, bad=bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {bad}" in captured.err
+
+
 def test_exponent_curve_csv(cq, capsys):
     assert main(["exponent-curve", "--kind", "data-compression", "--input", cq,
                  "--rates", "m=1", "--grid", "0.6:0.9:2"]) == 0
@@ -292,7 +334,8 @@ def test_bad_flag_value_exits_2(mm2, cq, tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize(
     "kind, rates, key",
-    [("data-compression", "x=0.5", "m"), ("randomness-extraction", "m=0.5", "l")],
+    [("data-compression", "x=0.5", "m"), ("randomness-extraction", "m=0.5", "l"),
+     ("data-compression", "m=nan", "m"), ("randomness-extraction", "l=inf", "l")],
 )
 def test_exponent_curve_missing_rate_exits_2(cq, capsys, kind, rates, key):
     assert main(["exponent-curve", "--kind", kind, "--input", cq,
