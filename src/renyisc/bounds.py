@@ -4,20 +4,25 @@ Every implemented inequality has the shape
 
     log2(merit) <= -n * kappa(alpha) * (expression - rate)
 
-with kappa(alpha) = (1-alpha)/(2 alpha) except for randomness extraction,
-where the prefactor is (1-alpha)/(4 alpha).  The ``exponent`` field of a
-report entry is kappa * (expression - rate) per copy; a positive exponent
-certifies exponential decay of the merit at the given rate.
+with kappa(alpha) = (1-alpha)/(2 alpha), halved for randomness extraction.
+An expression is a signed sum of Renyi entropies, conditional entropies and
+mutual informations of marginals of the input state or of its purification,
+at alpha or its conjugate beta; a rate is a linear form in the costs.  The
+``exponent`` field of a report entry is kappa * (expression - rate) per copy,
+or kappa * (rate - expression) for the yield-type extraction bounds; a
+positive exponent certifies exponential decay of the merit at the given rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .entropies import (
+    ALPHA_ONE_BAND,
     DEFAULT_CONFIG,
     OptimizerConfig,
     alpha_params,
@@ -42,16 +47,47 @@ from .spaces import LabeledOperator, partial_trace
 
 DEFAULT_GRID = tuple(np.linspace(0.51, 0.99, 25))
 
-# the rates (in bits per copy) that the bounds of each protocol kind compare against
-_RATE_KEYS = {
-    REDISTRIBUTION: ("q", "e"),
-    FEEDBACK: ("q_fw", "q_tot", "e"),
-    MERGING: ("q_csm", "e_csm"),
-    SPLITTING: ("q", "e"),
-    MEASUREMENT_COMPRESSION: ("c",),
-    RANDOMNESS_EXTRACTION: ("l",),
-    DATA_COMPRESSION: ("m",),
+# kind -> (id prefix, prefactor, input state labels, bounds).  The prefactor
+# multiplies kappa in the exponent; it is negative for a yield-type bound.
+# A bound is (id suffix, terms, rate form {rate key: coefficient}), and a
+# term is (sign, quantity, kept labels, conditioning labels, order): S is the
+# Renyi entropy, H the conditional entropy and I the mutual information of
+# the marginal on the kept labels, at order "a" (alpha) or "b" (beta).  Term
+# labels are one character each, so a string spells a label set; R is the
+# purifying reference.
+_BOUNDS = {
+    REDISTRIBUTION: ("redistribution", 1.0, ("A", "B", "C"), (
+        ("q+e", ((+1, "S", "AB", "", "b"), (-1, "S", "B", "", "a")), {"q": 1, "e": 1}),
+        ("2q-cond", ((+1, "H", "RB", "B", "b"), (-1, "H", "RAB", "AB", "a")), {"q": 2}),
+        ("2q-mutual", ((+1, "I", "RAB", "AB", "a"), (-1, "I", "RB", "B", "b")), {"q": 2}),
+    )),
+    FEEDBACK: ("feedback", 1.0, ("A", "B", "C"), (
+        ("q+e", ((+1, "S", "AB", "", "b"), (-1, "S", "B", "", "a")), {"q_tot": 1, "e": 1}),
+        ("2q-cond", ((+1, "H", "RB", "B", "b"), (-1, "H", "RAB", "AB", "a")), {"q_fw": 2}),
+        ("2q-mutual", ((+1, "I", "RAB", "AB", "a"), (-1, "I", "RB", "B", "b")), {"q_fw": 2}),
+    )),
+    MERGING: ("merging", 1.0, ("A", "B"), (
+        ("q-e", ((+1, "S", "AB", "", "b"), (-1, "S", "B", "", "a")), {"q_csm": 1, "e_csm": -1}),
+        ("2q", ((+1, "S", "R", "", "b"), (-1, "H", "RA", "A", "a")), {"q_csm": 2}),
+    )),
+    SPLITTING: ("splitting", 1.0, ("A", "C"), (
+        ("q+e", ((+1, "S", "A", "", "b"),), {"q": 1, "e": 1}),
+        ("2q-cond", ((+1, "S", "R", "", "b"), (-1, "H", "RA", "A", "a")), {"q": 2}),
+        ("2q-mutual", ((+1, "I", "RA", "A", "a"),), {"q": 2}),
+    )),
+    MEASUREMENT_COMPRESSION: ("measurement-compression", 1.0, ("R", "X", "Xp", "B"), (
+        ("c", ((+1, "H", "RB", "B", "b"), (-1, "H", "RXB", "XB", "a")), {"c": 1}),
+    )),
+    RANDOMNESS_EXTRACTION: ("randomness-extraction", -0.5, ("X", "B"), (
+        ("linear", ((+1, "S", "XB", "", "a"), (-1, "S", "B", "", "b")), {"l": 1}),
+        ("cond", ((+1, "H", "XB", "B", "a"),), {"l": 1}),
+    )),
+    DATA_COMPRESSION: ("data-compression", 1.0, ("X", "B"), (
+        ("linear", ((+1, "S", "XB", "", "b"), (-1, "S", "B", "", "a")), {"m": 1}),
+        ("cond", ((+1, "H", "XB", "B", "b"),), {"m": 1}),
+    )),
 }
+_OPTIMIZED = {"H": conditional_entropy, "I": mutual_information}
 
 
 @dataclass(frozen=True)
@@ -81,163 +117,88 @@ class ExponentCurve:
     sup_exponent: dict  # bound id -> (sup, achieving alpha)
 
 
-class _BoundEvaluator:
-    """Evaluates the entropic expressions of one protocol kind.
+def _table(kind: str):
+    if kind not in _BOUNDS:
+        raise UsageError(f"unknown protocol kind {kind!r}")
+    return _BOUNDS[kind]
 
-    Caches marginals and warm-starts each inner optimization with the
-    minimizer found at the previous grid point.
+
+def _linear(pairs):
+    """Sum of c * x over (c, x), folded left from the first product."""
+    return reduce(add, (c * x for c, x in pairs))
+
+
+class _BoundEvaluator:
+    """Evaluates the bound expressions of one protocol kind.
+
+    Caches marginals by label set and warm-starts each optimized term with
+    the minimizer found at the previous grid point.
     """
 
-    def __init__(self, kind: str, state: LabeledOperator, rates: dict, config: OptimizerConfig):
+    def __init__(self, kind: str, state: LabeledOperator, config: OptimizerConfig):
         self.kind = kind
-        self.state = state
-        self.rates = dict(rates)
+        self.prefix, self.prefactor, labels, self.bounds = _table(kind)
         self.config = config
+        self.psi = None
+        self.state = self._checked(state, labels)
         self._marginals: dict = {}
         self._warm: dict = {}
-        self._setup()
 
-    def _setup(self):
-        kind, state = self.kind, self.state
-        if kind not in _RATE_KEYS:
-            raise UsageError(f"unknown protocol kind {kind!r}")
-        for key in _RATE_KEYS[kind]:
-            if not np.isfinite(self.rates.get(key, np.nan)):
-                raise UsageError(f"{kind} bounds need a finite rate {key!r}")
-        if kind in (REDISTRIBUTION, FEEDBACK, MERGING, SPLITTING):
-            labels = set(state.space.labels)
-            if kind == SPLITTING and not labels >= {"A", "C"}:
-                raise UsageError("splitting needs a state on A and C")
-            if kind in (REDISTRIBUTION, FEEDBACK) and not labels >= {"A", "B", "C"}:
-                raise UsageError("redistribution needs a state on A, B, C")
-            if kind == MERGING and not labels >= {"A", "B"}:
-                raise UsageError("merging needs a state on A and B")
-            self.psi = purify(state, "R")
-        elif kind == MEASUREMENT_COMPRESSION:
-            if set(state.space.labels) != {"R", "X", "Xp", "B"}:
-                raise UsageError("measurement compression expects the ideal state on R, X, Xp, B")
-        else:  # randomness extraction and data compression take a c-q state on (X, B)
-            cq_components(state)
+    def _checked(self, state: LabeledOperator, labels) -> LabeledOperator:
+        """``state`` checked against the table's labels; a channel kind's is purified on R."""
+        kind, have = self.kind, set(state.space.labels)
+        if kind in (RANDOMNESS_EXTRACTION, DATA_COMPRESSION):
+            cq_components(state)  # any two registers, classical on the first
+            return state.rename(dict(zip(state.space.labels, labels)))
+        if kind == MEASUREMENT_COMPRESSION:
+            if have != set(labels):
+                raise UsageError(f"{kind} expects the ideal state on {', '.join(labels)}")
+            return state
+        missing = [label for label in labels if label not in have]
+        if missing:
+            raise UsageError(f"{kind} needs a state on {', '.join(labels)}; "
+                             f"missing {', '.join(missing)}")
+        self.psi = purify(state, "R")
+        return state
 
-    def marginal(self, source: LabeledOperator, keep) -> LabeledOperator:
-        key = (id(source), tuple(sorted(keep)))
-        if key not in self._marginals:
-            self._marginals[key] = partial_trace(source, keep)
-        return self._marginals[key]
+    def marginal(self, keep) -> LabeledOperator:
+        """The input state on ``keep`` if it holds every label there, else its purification."""
+        keep = frozenset(keep)
+        if keep not in self._marginals:
+            source = self.state if keep <= set(self.state.space.labels) else self.psi
+            self._marginals[keep] = partial_trace(source, keep)
+        return self._marginals[keep]
 
-    def _optimized(self, quantity, rho: LabeledOperator, labels, alpha: float) -> float:
-        """``quantity``, warm-started per call site: ``rho`` is cached, so its id is stable."""
-        key = (quantity, id(rho), tuple(labels))
+    def _term(self, quantity: str, keep: str, given: str, order: str, p) -> float:
+        rho, x = self.marginal(keep), p.alpha if order == "a" else p.beta
+        if quantity == "S":
+            return renyi_entropy(rho, x)
+        key = (quantity, keep, given)
         warm = self._warm.get(key)
-        warm_starts = () if warm is None else (warm,)
-        out = quantity(rho, labels, alpha, self.config, warm_starts=warm_starts)
+        out = _OPTIMIZED[quantity](rho, list(given), x, self.config,
+                                   warm_starts=() if warm is None else (warm,))
         self._warm[key] = out.optimizer.matrix
         return out.value
 
-    def expressions(self, alpha: float) -> list[tuple[str, float, float, float]]:
-        """Per-bound (id, kappa, expression, rate) at one alpha."""
+    def expressions(self, alpha: float) -> list[tuple[str, float]]:
+        """(bound id, expression) of every bound at one alpha."""
         p = alpha_params(alpha)
-        a, b = p.alpha, p.beta
-        kap = p.kappa
-        rates = self.rates
-        kind = self.kind
-        out = []
-        cond = partial(self._optimized, conditional_entropy)
-        mut = partial(self._optimized, mutual_information)
-        if kind in (REDISTRIBUTION, FEEDBACK):
-            rho_ab = self.marginal(self.state, {"A", "B"})
-            rho_b = self.marginal(self.state, {"B"})
-            rho_rab = self.marginal(self.psi, {"R", "A", "B"})
-            rho_rb = self.marginal(self.psi, {"R", "B"})
-            expr1 = renyi_entropy(rho_ab, b) - renyi_entropy(rho_b, a)
-            expr2 = cond(rho_rb, ["B"], b) - cond(rho_rab, ["A", "B"], a)
-            expr3 = mut(rho_rab, ["A", "B"], a) - mut(rho_rb, ["B"], b)
-            if kind == REDISTRIBUTION:
-                q, e = rates["q"], rates["e"]
-                out.append(("redistribution-q+e", kap, expr1, q + e))
-                out.append(("redistribution-2q-cond", kap, expr2, 2 * q))
-                out.append(("redistribution-2q-mutual", kap, expr3, 2 * q))
-            else:
-                q_fw, q_tot, e = rates["q_fw"], rates["q_tot"], rates["e"]
-                out.append(("feedback-q+e", kap, expr1, q_tot + e))
-                out.append(("feedback-2q-cond", kap, expr2, 2 * q_fw))
-                out.append(("feedback-2q-mutual", kap, expr3, 2 * q_fw))
-        elif kind == MERGING:
-            rho_ab = self.marginal(self.state, {"A", "B"})
-            rho_b = self.marginal(self.state, {"B"})
-            rho_ra = self.marginal(self.psi, {"R", "A"})
-            rho_r = self.marginal(self.psi, {"R"})
-            q, e = rates["q_csm"], rates["e_csm"]
-            expr1 = renyi_entropy(rho_ab, b) - renyi_entropy(rho_b, a)
-            expr2 = renyi_entropy(rho_r, b) - cond(rho_ra, ["A"], a)
-            out.append(("merging-q-e", kap, expr1, q - e))
-            out.append(("merging-2q", kap, expr2, 2 * q))
-        elif kind == SPLITTING:
-            rho_a = self.marginal(self.state, {"A"})
-            rho_ra = self.marginal(self.psi, {"R", "A"})
-            rho_r = self.marginal(self.psi, {"R"})
-            q, e = rates["q"], rates["e"]
-            expr1 = renyi_entropy(rho_a, b)
-            expr2 = renyi_entropy(rho_r, b) - cond(rho_ra, ["A"], a)
-            expr3 = mut(rho_ra, ["A"], a)
-            out.append(("splitting-q+e", kap, expr1, q + e))
-            out.append(("splitting-2q-cond", kap, expr2, 2 * q))
-            out.append(("splitting-2q-mutual", kap, expr3, 2 * q))
-        elif kind == MEASUREMENT_COMPRESSION:
-            phi_rb = self.marginal(self.state, {"R", "B"})
-            phi_rxb = self.marginal(self.state, {"R", "X", "B"})
-            c = rates["c"]
-            expr = cond(phi_rb, ["B"], b) - cond(phi_rxb, ["X", "B"], a)
-            out.append(("measurement-compression-c", kap, expr, c))
-        elif kind == RANDOMNESS_EXTRACTION:
-            rho_b = self.marginal(self.state, {self.state.space.labels[1]})
-            l = rates["l"]
-            kap4 = kap / 2.0
-            expr1 = renyi_entropy(self.state, a) - renyi_entropy(rho_b, b)
-            expr2 = cond(self.state, [self.state.space.labels[1]], a)
-            out.append(("randomness-extraction-linear", kap4, expr1, l))
-            out.append(("randomness-extraction-cond", kap4, expr2, l))
-        elif kind == DATA_COMPRESSION:
-            rho_b = self.marginal(self.state, {self.state.space.labels[1]})
-            m = rates["m"]
-            expr1 = renyi_entropy(self.state, b) - renyi_entropy(rho_b, a)
-            expr2 = cond(self.state, [self.state.space.labels[1]], b)
-            out.append(("data-compression-linear", kap, expr1, m))
-            out.append(("data-compression-cond", kap, expr2, m))
-        return out
+        return [
+            (f"{self.prefix}-{suffix}",
+             _linear((sign, self._term(*term, p)) for sign, *term in terms))
+            for suffix, terms, _ in self.bounds
+        ]
 
-    def entries(self, alpha: float, copies: int = 1) -> list[BoundEntry]:
+    def entries(self, alpha: float, rates: dict, copies: int = 1) -> list[BoundEntry]:
         p = alpha_params(alpha)
+        scale = self.prefactor * p.kappa
         result = []
-        for bound_id, kap, expr, rate in self.expressions(alpha):
-            # yield-type bounds decay when the rate exceeds the expression
-            if self.kind == RANDOMNESS_EXTRACTION:
-                exponent = kap * (rate - expr)
-            else:
-                exponent = kap * (expr - rate)
-            result.append(
-                BoundEntry(
-                    bound_id=bound_id,
-                    alpha=p.alpha,
-                    beta=p.beta,
-                    kappa=kap,
-                    expression_bits=expr,
-                    rate_bits=rate,
-                    exponent=exponent,
-                    log2_merit_bound=-copies * exponent,
-                )
-            )
+        for (bound_id, expr), (_, _, form) in zip(self.expressions(alpha), self.bounds):
+            rate = _linear((c, rates[key]) for key, c in form.items())
+            exponent = scale * (expr - rate)
+            result.append(BoundEntry(bound_id, p.alpha, p.beta, abs(scale), expr, rate,
+                                     exponent, -copies * exponent))
         return result
-
-
-def _check_alpha(alpha: float):
-    if not 0.5 < alpha < 1.0:
-        raise UsageError(f"converse bounds require alpha in (1/2, 1), got {alpha}")
-
-
-def _check_copies(copies: int):
-    if copies < 1:
-        raise UsageError(f"converse bounds require copies >= 1, got {copies}")
 
 
 def converse_bound(
@@ -248,10 +209,9 @@ def converse_bound(
     copies: int = 1,
     config: OptimizerConfig = DEFAULT_CONFIG,
 ) -> BoundReport:
-    _check_alpha(alpha)
-    _check_copies(copies)
-    ev = _BoundEvaluator(kind, state, rates, config)
-    return BoundReport(kind, copies, tuple(ev.entries(alpha, copies)))
+    """The bounds of ``kind`` at one alpha: ``exponent_curve`` on the grid (alpha,)."""
+    return BoundReport(kind, copies,
+                       exponent_curve(kind, state, rates, (alpha,), copies, config).entries)
 
 
 def exponent_curve(
@@ -266,12 +226,18 @@ def exponent_curve(
     if not alphas:
         raise UsageError("alphas must hold at least one order in (1/2, 1)")
     for a in alphas:
-        _check_alpha(a)
-    _check_copies(copies)
-    ev = _BoundEvaluator(kind, state, rates, config)
+        if not 0.5 < a < 1.0:
+            raise UsageError(f"converse bounds require alpha in (1/2, 1), got {a}")
+    if copies < 1:
+        raise UsageError(f"converse bounds require copies >= 1, got {copies}")
+    *_, bounds = _table(kind)
+    for key in dict.fromkeys(key for _, _, form in bounds for key in form):
+        if not np.isfinite(rates.get(key, np.nan)):
+            raise UsageError(f"{kind} bounds need a finite rate {key!r}")
+    ev = _BoundEvaluator(kind, state, config)
     grouped: dict[str, list[BoundEntry]] = {}
     for a in sorted(alphas):
-        for entry in ev.entries(a, copies):
+        for entry in ev.entries(a, rates, copies):
             grouped.setdefault(entry.bound_id, []).append(entry)
     entries = tuple(e for bid in grouped for e in grouped[bid])
     sup = {
@@ -287,32 +253,32 @@ def exponent_curve(
 
 def _vn_limits(ev: _BoundEvaluator) -> dict[str, float]:
     """alpha -> 1 limit of each of ``ev``'s bound expressions, in bits."""
-    kind, state = ev.kind, ev.state
+    kind = ev.kind
 
-    def s(source, keep):
-        return von_neumann_entropy(ev.marginal(source, keep))
+    def s(keep):
+        return von_neumann_entropy(ev.marginal(keep))
 
     if kind in (REDISTRIBUTION, FEEDBACK):
-        s_ab, s_b = s(state, {"A", "B"}), s(state, {"B"})
-        s_rb, s_rab = s(ev.psi, {"R", "B"}), s(ev.psi, {"R", "A", "B"})
+        s_ab, s_b = s({"A", "B"}), s({"B"})
+        s_rb, s_rab = s({"R", "B"}), s({"R", "A", "B"})
         cond = s_ab - s_b
         cmi = s_rb - s_b - s_rab + s_ab
         pre = "redistribution" if kind == REDISTRIBUTION else "feedback"
         return {f"{pre}-q+e": cond, f"{pre}-2q-cond": cmi, f"{pre}-2q-mutual": cmi}
     if kind == MERGING:
-        s_ab, s_b, s_a = s(state, {"A", "B"}), s(state, {"B"}), s(state, {"A"})
-        s_r, s_ra = s(ev.psi, {"R"}), s(ev.psi, {"R", "A"})
+        s_ab, s_b, s_a = s({"A", "B"}), s({"B"}), s({"A"})
+        s_r, s_ra = s({"R"}), s({"R", "A"})
         return {"merging-q-e": s_ab - s_b, "merging-2q": s_r + s_a - s_ra}
     if kind == SPLITTING:
-        s_a, s_r, s_ra = s(state, {"A"}), s(ev.psi, {"R"}), s(ev.psi, {"R", "A"})
+        s_a, s_r, s_ra = s({"A"}), s({"R"}), s({"R", "A"})
         mi = s_r + s_a - s_ra
         return {"splitting-q+e": s_a, "splitting-2q-cond": mi, "splitting-2q-mutual": mi}
     if kind == MEASUREMENT_COMPRESSION:
-        s_rb, s_b = s(state, {"R", "B"}), s(state, {"B"})
-        s_rxb, s_xb = s(state, {"R", "X", "B"}), s(state, {"X", "B"})
+        s_rb, s_b = s({"R", "B"}), s({"B"})
+        s_rxb, s_xb = s({"R", "X", "B"}), s({"X", "B"})
         return {"measurement-compression-c": (s_rb - s_b) - (s_rxb - s_xb)}
-    # randomness extraction and data compression: a c-q state on (X, B)
-    cond = von_neumann_entropy(state) - s(state, {state.space.labels[1]})
+    # randomness extraction and data compression: a c-q state, renamed (X, B)
+    cond = s({"X", "B"}) - s({"B"})
     if kind == RANDOMNESS_EXTRACTION:
         return {"randomness-extraction-linear": cond, "randomness-extraction-cond": cond}
     return {"data-compression-linear": cond, "data-compression-cond": cond}
@@ -330,11 +296,11 @@ def vn_limit_check(
     """
     if not 0.0 < eps <= 0.1:
         raise UsageError(f"eps must lie in (0, 0.1], got {eps}")
-    ev = _BoundEvaluator(kind, state, dict.fromkeys(_RATE_KEYS.get(kind, ()), 0.0), config)
-    limits = _vn_limits(ev)
-    values = {bound_id: expr for bound_id, _, expr, _ in ev.expressions(1.0 - eps)}
-    report = {}
-    for bound_id, lim in limits.items():
-        val = values[bound_id]
-        report[bound_id] = {"renyi": val, "limit": lim, "gap": abs(val - lim)}
-    return report
+    if abs((1.0 - eps) - 1.0) < ALPHA_ONE_BAND:
+        # every quantity takes its von Neumann branch there, so each gap would read 0
+        raise UsageError(f"eps = {eps} puts alpha = 1 - eps inside the von Neumann band "
+                         f"|alpha - 1| < {ALPHA_ONE_BAND:g}; use eps >= {ALPHA_ONE_BAND:g}")
+    ev = _BoundEvaluator(kind, state, config)
+    values = dict(ev.expressions(1.0 - eps))
+    return {bid: {"renyi": values[bid], "limit": lim, "gap": abs(values[bid] - lim)}
+            for bid, lim in _vn_limits(ev).items()}

@@ -29,10 +29,14 @@ from .entropies import (
 )
 from .errors import RenyiscError, UsageError
 
-DEFAULT_GRID_SPEC = "0.51:0.99:25"
+_GRID_HELP = "alpha grid start:end:count (default {:g}:{:g}:{})".format(
+    _bounds.DEFAULT_GRID[0], _bounds.DEFAULT_GRID[-1], len(_bounds.DEFAULT_GRID))
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str | None):
+    """The alphas of a start:end:count spec, or None (the library's default grid)."""
+    if spec is None:
+        return None
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid spec must be start:end:count, got {spec!r}")
@@ -137,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=_protocols.KINDS)
     p.add_argument("--input", required=True, help="state file for the bound expressions")
     p.add_argument("--rates", required=True, help="comma-separated key=value rates in bits")
-    p.add_argument("--grid", default=DEFAULT_GRID_SPEC, help="alpha grid start:end:count")
+    p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--copies", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output")
@@ -154,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", help="comma-separated subsystem dimensions")
     p.add_argument("--tol", type=float, help="suite tolerance (--suite only)")
-    p.add_argument("--grid", help=f"alpha grid (--protocol only; default {DEFAULT_GRID_SPEC})")
+    p.add_argument("--grid", help=_GRID_HELP + "; --protocol only")
     p.add_argument("--output")
 
     p = sub.add_parser("falsify", help="search for violations of the two extraction exponents")
@@ -165,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="gap between bound expressions and their alpha->1 limits")
     p.add_argument("--kind", required=True, choices=_protocols.KINDS)
     p.add_argument("--input", required=True)
-    p.add_argument("--eps", type=float, default=0.01, help="distance to alpha = 1")
+    p.add_argument("--eps", type=float, default=0.01,
+                   help="distance to alpha = 1, in (0, 0.1] and outside the von Neumann band")
     p.add_argument("--output")
 
     return top
@@ -237,7 +242,7 @@ def _cmd_verify(args) -> int:
     if args.protocol:
         report = _harness.check_protocol_bounds(
             args.protocol, args.trials, seed=args.seed,
-            alphas=_parse_grid(args.grid or DEFAULT_GRID_SPEC)
+            alphas=_parse_grid(args.grid)
         )
         reports = [report]
     elif args.suite == "all":

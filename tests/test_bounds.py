@@ -3,7 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from renyisc.bounds import (
+    _BOUNDS,
     DEFAULT_GRID,
+    _BoundEvaluator,
+    _vn_limits,
     converse_bound,
     exponent_curve,
     vn_limit_check,
@@ -12,13 +15,17 @@ from renyisc.entropies import OptimizerConfig, alpha_params
 from renyisc.errors import UsageError
 from renyisc.protocols import (
     DATA_COMPRESSION,
+    FEEDBACK,
+    KINDS,
+    MEASUREMENT_COMPRESSION,
     MERGING,
     RANDOMNESS_EXTRACTION,
     REDISTRIBUTION,
     SPLITTING,
+    ideal_measurement_state,
 )
-from renyisc.random_ensembles import random_cq_state, random_state
-from renyisc.spaces import SystemSpace
+from renyisc.random_ensembles import random_cq_state, random_povm, random_state
+from renyisc.spaces import SystemSpace, partial_trace
 
 CFG = OptimizerConfig(starts=2)
 
@@ -151,3 +158,115 @@ def test_vn_limits_classical_values():
     for bid, row in rep.items():
         assert_allclose(row["limit"], 1.0, atol=1e-10)
         assert row["gap"] < 1e-6
+
+
+def _kind_states():
+    """One input state per protocol kind, in the labels its bounds expect."""
+    ab = SystemSpace.of(("A", 2), ("B", 2))
+    return {
+        REDISTRIBUTION: _abc(11),
+        FEEDBACK: _abc(12),
+        MERGING: random_state(ab, seed=13),
+        SPLITTING: random_state(SystemSpace.of(("A", 2), ("C", 2)), seed=14),
+        MEASUREMENT_COMPRESSION: ideal_measurement_state(random_state(ab, seed=15),
+                                                         random_povm(2, 2, 15)),
+        RANDOMNESS_EXTRACTION: random_cq_state(2, 2, 16),
+        DATA_COMPRESSION: random_cq_state(3, 2, 17),
+    }
+
+
+# distinct rates, so that every coefficient of every rate form shows
+RATES = {"q": 0.7, "e": 0.3, "q_fw": 0.4, "q_tot": 0.9, "q_csm": 0.6, "e_csm": 0.25,
+         "c": 0.55, "l": 0.45, "m": 0.15}
+EXPECTED_RATE_BITS = {
+    REDISTRIBUTION: {"redistribution-q+e": 1.0, "redistribution-2q-cond": 1.4,
+                     "redistribution-2q-mutual": 1.4},
+    FEEDBACK: {"feedback-q+e": 1.2, "feedback-2q-cond": 0.8, "feedback-2q-mutual": 0.8},
+    MERGING: {"merging-q-e": 0.35, "merging-2q": 1.2},
+    SPLITTING: {"splitting-q+e": 1.0, "splitting-2q-cond": 1.4, "splitting-2q-mutual": 1.4},
+    MEASUREMENT_COMPRESSION: {"measurement-compression-c": 0.55},
+    RANDOMNESS_EXTRACTION: {"randomness-extraction-linear": 0.45,
+                            "randomness-extraction-cond": 0.45},
+    DATA_COMPRESSION: {"data-compression-linear": 0.15, "data-compression-cond": 0.15},
+}
+
+
+def test_rate_bits_of_every_bound():
+    assert set(EXPECTED_RATE_BITS) == set(KINDS)
+    states = _kind_states()
+    for kind, expected in EXPECTED_RATE_BITS.items():
+        rep = converse_bound(kind, states[kind], RATES, alpha=0.8, config=CFG)
+        assert [e.bound_id for e in rep.entries] == list(expected), kind
+        for e in rep.entries:
+            assert_allclose(e.rate_bits, expected[e.bound_id], atol=1e-12, err_msg=e.bound_id)
+
+
+def _spectral_entropy(rho, alpha):
+    """Renyi entropy from the eigenvalues alone."""
+    lam = np.linalg.eigvalsh(rho.matrix)
+    lam = lam[lam > 1e-14]
+    return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+
+
+def test_closed_form_rows_match_eigenvalue_entropies():
+    p = alpha_params(0.8)
+    a, b = p.alpha, p.beta
+    states = _kind_states()
+
+    def h(kind, keep, order):
+        return _spectral_entropy(partial_trace(states[kind], keep), order)
+
+    expected = {
+        "redistribution-q+e": h(REDISTRIBUTION, "AB", b) - h(REDISTRIBUTION, "B", a),
+        "feedback-q+e": h(FEEDBACK, "AB", b) - h(FEEDBACK, "B", a),
+        "merging-q-e": h(MERGING, "AB", b) - h(MERGING, "B", a),
+        "splitting-q+e": h(SPLITTING, "A", b),
+        "randomness-extraction-linear": (h(RANDOMNESS_EXTRACTION, "XB", a)
+                                         - h(RANDOMNESS_EXTRACTION, "B", b)),
+        "data-compression-linear": h(DATA_COMPRESSION, "XB", b) - h(DATA_COMPRESSION, "B", a),
+    }
+    got = {}
+    for kind, state in states.items():
+        for e in converse_bound(kind, state, RATES, alpha=0.8, config=CFG).entries:
+            got[e.bound_id] = e.expression_bits
+    for bound_id, want in expected.items():
+        assert_allclose(got[bound_id], want, atol=1e-10, err_msg=bound_id)
+
+
+@pytest.mark.parametrize("kind", [RANDOMNESS_EXTRACTION, DATA_COMPRESSION])
+def test_cq_register_labels_do_not_matter(kind):
+    xb = random_cq_state(3, 2, 18)
+    ze = random_cq_state(3, 2, 18, x_label="Z", b_label="E")
+    assert ze.space.labels == ("Z", "E")
+    assert (exponent_curve(kind, ze, RATES, (0.6, 0.9), config=CFG).entries
+            == exponent_curve(kind, xb, RATES, (0.6, 0.9), config=CFG).entries)
+    assert vn_limit_check(kind, ze, 0.01, CFG) == vn_limit_check(kind, xb, 0.01, CFG)
+
+
+def test_table_and_von_neumann_limits_name_the_same_bounds():
+    assert set(_BOUNDS) == set(KINDS)
+    for kind, state in _kind_states().items():
+        prefix, _, _, bounds = _BOUNDS[kind]
+        limits = _vn_limits(_BoundEvaluator(kind, state, CFG))
+        assert set(limits) == {f"{prefix}-{suffix}" for suffix, _, _ in bounds}, kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_vn_limit_gap_shrinks_for_every_kind(kind):
+    state = _kind_states()[kind]
+    far = vn_limit_check(kind, state, eps=0.02, config=CFG)
+    near = vn_limit_check(kind, state, eps=0.01, config=CFG)
+    assert set(near) == set(far)
+    for bid in far:
+        assert near[bid]["gap"] < far[bid]["gap"], (bid, near[bid], far[bid])
+        assert_allclose(near[bid]["limit"], far[bid]["limit"], atol=1e-12)
+
+
+def test_vn_limit_eps_inside_von_neumann_band_rejected():
+    state = random_state(SystemSpace.of(("A", 2), ("B", 2), ("C", 2)), seed=8)
+    for eps in (5e-7, 1e-9):
+        with pytest.raises(UsageError, match="von Neumann band"):
+            vn_limit_check(REDISTRIBUTION, state, eps=eps, config=CFG)
+    # just outside the band the closed-form row still sees alpha != 1
+    edge = vn_limit_check(REDISTRIBUTION, state, eps=1e-6, config=CFG)
+    assert edge["redistribution-q+e"]["gap"] > 1e-8

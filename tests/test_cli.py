@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from renyisc import io as rio
+from renyisc.bounds import DEFAULT_GRID, exponent_curve
 from renyisc.channels import identity_channel
 from renyisc.cli import main
 from renyisc.protocols import REDISTRIBUTION, ProtocolInstance
@@ -162,6 +163,15 @@ def test_exponent_curve_csv(cq, capsys):
         "bound_id,alpha,beta,kappa,expression_bits,rate_bits,exponent,log2_merit_bound"
     )
     assert len(lines) == 5  # header + 2 bounds x 2 grid points
+
+
+def test_exponent_curve_default_grid_is_the_library_default(cq, tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(["exponent-curve", "--kind", "data-compression", "--input", cq,
+                 "--rates", "m=1", "--output", str(out)]) == 0
+    curve = exponent_curve("data-compression", rio.load_state(cq), {"m": 1.0})
+    assert curve.alphas == DEFAULT_GRID
+    assert out.read_text() == rio.entries_to_csv(curve.entries)
 
 
 def test_exponent_curve_bad_grid_exits_2(cq, capsys):
@@ -322,6 +332,11 @@ def test_help_exits_0(capsys):
         (["verify", "--suite", "holder", "--trials", "1", "--grid", "7:9:2"], "--grid"),
         (["verify", "--protocol", "data-compression", "--trials", "1", "--grid", "0.6:0.9:2",
           "--tol", "5"], "--tol"),
+        # inside the band both sides take the von Neumann branch, so every gap reads 0
+        (["limits", "--kind", "data-compression", "--input", "{cq}", "--eps", "5e-7"],
+         "von Neumann band"),
+        (["limits", "--kind", "data-compression", "--input", "{cq}", "--eps", "1e-9"],
+         "von Neumann band"),
     ],
 )
 def test_bad_flag_value_exits_2(mm2, cq, tmp_path, capsys, argv, flag):
