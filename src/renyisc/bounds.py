@@ -15,6 +15,7 @@ positive exponent certifies exponential decay of the merit at the given rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -25,14 +26,13 @@ from .entropies import (
     ALPHA_ONE_BAND,
     DEFAULT_CONFIG,
     OptimizerConfig,
+    _optimized,
     alpha_params,
-    conditional_entropy,
-    mutual_information,
-    renyi_entropy,
+    classical_renyi_entropy,
     von_neumann_entropy,
 )
 from .errors import UsageError
-from .linalg import purify
+from .linalg import purify, spectrum
 from .protocols import (
     DATA_COMPRESSION,
     FEEDBACK,
@@ -87,7 +87,6 @@ _BOUNDS = {
         ("cond", ((+1, "H", "XB", "B", "b"),), {"m": 1}),
     )),
 }
-_OPTIMIZED = {"H": conditional_entropy, "I": mutual_information}
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,11 @@ def _linear(pairs):
 
 
 class _BoundEvaluator:
-    """Evaluates the bound expressions of one protocol kind.
+    """Evaluates the bound expressions of one protocol kind over a grid of orders.
 
-    Caches marginals by label set and warm-starts each optimized term with
-    the minimizer found at the previous grid point.
+    Caches marginals by label set.  Each term is evaluated at every order of
+    the grid in one call: an S term decomposes its marginal once, and an
+    optimized term minimizes all its orders together.
     """
 
     def __init__(self, kind: str, state: LabeledOperator, config: OptimizerConfig):
@@ -142,7 +142,6 @@ class _BoundEvaluator:
         self.psi = None
         self.state = self._checked(state, labels)
         self._marginals: dict = {}
-        self._warm: dict = {}
 
     def _checked(self, state: LabeledOperator, labels) -> LabeledOperator:
         """``state`` checked against the table's labels; a channel kind's is purified on R."""
@@ -169,35 +168,36 @@ class _BoundEvaluator:
             self._marginals[keep] = partial_trace(source, keep)
         return self._marginals[keep]
 
-    def _term(self, quantity: str, keep: str, given: str, order: str, p) -> float:
-        rho, x = self.marginal(keep), p.alpha if order == "a" else p.beta
+    def _term(self, quantity: str, keep: str, given: str, order: str, params) -> np.ndarray:
+        """One term at the alpha or beta of every order in ``params``."""
+        rho = self.marginal(keep)
+        xs = [p.alpha if order == "a" else p.beta for p in params]
         if quantity == "S":
-            return renyi_entropy(rho, x)
-        key = (quantity, keep, given)
-        warm = self._warm.get(key)
-        out = _OPTIMIZED[quantity](rho, list(given), x, self.config,
-                                   warm_starts=() if warm is None else (warm,))
-        self._warm[key] = out.optimizer.matrix
-        return out.value
+            vals, _, support = spectrum(rho.matrix, vectors=False)
+            return np.array([classical_renyi_entropy(vals[support], x) for x in xs])
+        outs = _optimized(rho, list(given), xs, self.config, mutual=quantity == "I")
+        return np.array([out.value for out in outs])
 
-    def expressions(self, alpha: float) -> list[tuple[str, float]]:
-        """(bound id, expression) of every bound at one alpha."""
-        p = alpha_params(alpha)
-        return [
-            (f"{self.prefix}-{suffix}",
-             _linear((sign, self._term(*term, p)) for sign, *term in terms))
+    def expressions(self, alphas) -> dict[str, np.ndarray]:
+        """bound id -> its expression at every order of ``alphas``."""
+        params = [alpha_params(a) for a in alphas]
+        return {
+            f"{self.prefix}-{suffix}":
+                _linear((sign, self._term(*term, params)) for sign, *term in terms)
             for suffix, terms, _ in self.bounds
-        ]
+        }
 
-    def entries(self, alpha: float, rates: dict, copies: int = 1) -> list[BoundEntry]:
-        p = alpha_params(alpha)
-        scale = self.prefactor * p.kappa
+    def entries(self, alphas, rates: dict, copies: int = 1) -> list[BoundEntry]:
+        """Every bound's entries, grouped by bound id, then in the order of ``alphas``."""
+        params = [alpha_params(a) for a in alphas]
         result = []
-        for (bound_id, expr), (_, _, form) in zip(self.expressions(alpha), self.bounds):
+        for (bound_id, exprs), (_, _, form) in zip(self.expressions(alphas).items(), self.bounds):
             rate = _linear((c, rates[key]) for key, c in form.items())
-            exponent = scale * (expr - rate)
-            result.append(BoundEntry(bound_id, p.alpha, p.beta, abs(scale), expr, rate,
-                                     exponent, -copies * exponent))
+            for p, expr in zip(params, exprs.tolist()):
+                scale = self.prefactor * p.kappa
+                exponent = scale * (expr - rate)
+                result.append(BoundEntry(bound_id, p.alpha, p.beta, abs(scale), expr, rate,
+                                         exponent, -copies * exponent))
         return result
 
 
@@ -232,19 +232,23 @@ def exponent_curve(
         raise UsageError(f"converse bounds require copies >= 1, got {copies}")
     *_, bounds = _table(kind)
     for key in dict.fromkeys(key for _, _, form in bounds for key in form):
-        if not np.isfinite(rates.get(key, np.nan)):
-            raise UsageError(f"{kind} bounds need a finite rate {key!r}")
-    ev = _BoundEvaluator(kind, state, config)
+        rate = rates.get(key)
+        try:
+            finite = math.isfinite(rate)
+        except TypeError:  # missing, or not a number
+            finite = False
+        if not finite:
+            raise UsageError(f"{kind} bounds need a finite rate {key!r}, got {rate!r}")
+    alphas = tuple(sorted(alphas))
+    entries = tuple(_BoundEvaluator(kind, state, config).entries(alphas, rates, copies))
     grouped: dict[str, list[BoundEntry]] = {}
-    for a in sorted(alphas):
-        for entry in ev.entries(a, rates, copies):
-            grouped.setdefault(entry.bound_id, []).append(entry)
-    entries = tuple(e for bid in grouped for e in grouped[bid])
+    for entry in entries:
+        grouped.setdefault(entry.bound_id, []).append(entry)
     sup = {
         bid: max(((e.exponent, e.alpha) for e in es), key=lambda t: t[0])
         for bid, es in grouped.items()
     }
-    return ExponentCurve(kind, tuple(sorted(alphas)), entries, sup)
+    return ExponentCurve(kind, alphas, entries, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,6 @@ def vn_limit_check(
         raise UsageError(f"eps = {eps} puts alpha = 1 - eps inside the von Neumann band "
                          f"|alpha - 1| < {ALPHA_ONE_BAND:g}; use eps >= {ALPHA_ONE_BAND:g}")
     ev = _BoundEvaluator(kind, state, config)
-    values = dict(ev.expressions(1.0 - eps))
+    values = {bid: float(exprs[0]) for bid, exprs in ev.expressions((1.0 - eps,)).items()}
     return {bid: {"renyi": values[bid], "limit": lim, "gap": abs(values[bid] - lim)}
             for bid, lim in _vn_limits(ev).items()}

@@ -11,14 +11,18 @@ W† (I (x) sigma^{2c}) W, and B is always taken in the eigenbasis of supp
 rho_B.  One objective serves both quantities: (rho_A (x) sigma)^c =
 (rho_A^c (x) I)(I (x) sigma^c) with commuting factors, so the mutual
 information runs it on (rho_A^c (x) I) W.
-The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi), so the descent
-stops at the first start (warm start, then Tr_A of the minimized state,
-then seeded random ones) whose gradient residual meets
-``OptimizerConfig.tol``.
+The orders of one quantity are minimized together: the factors of all of
+them form one stack of independent blocks, and one L-BFGS-B run minimizes
+the sum of the block values, with each block's gradient residual read from
+its own slice.  The problem is convex for alpha >= 1/2 (Frank-Lieb, Beigi),
+so a block is done at its first start (Tr_A of the minimized state, then
+seeded random ones, run only for the blocks not yet done) whose residual
+meets ``OptimizerConfig.tol``.
 ``OptimizerConfig`` holds the only two settings a caller can change, the
 residual ``tol`` and the cap on ``starts`` (3 by default); L-BFGS-B's own
-stopping rules, its iteration cap and the seed of the random starts are
-fixed constants of this module.
+stopping rules (its relative-reduction tolerance divided among the blocks
+of a run), its iteration cap and the seed of the random starts are fixed
+constants of this module.
 """
 
 from __future__ import annotations
@@ -71,10 +75,11 @@ def alpha_params(alpha: float) -> AlphaParams:
 
 
 def _kernel(rho: np.ndarray, sspec) -> np.ndarray | None:
-    """Mask of sigma's kernel from ``spectrum(sigma)``, or None when rho has
-    more than ``SUPPORT_TOL`` weight there (supp rho not within supp sigma)."""
-    svals, svecs, _ = sspec
-    kernel = svals <= SUPPORT_TOL * max(svals[-1], 1.0)
+    """Mask of sigma's kernel, the complement of ``spectrum(sigma)``'s support,
+    or None when rho has more than ``SUPPORT_TOL`` weight there (supp rho not
+    within supp sigma)."""
+    _, svecs, support = sspec
+    kernel = ~support
     if kernel.any():
         pk = svecs[:, kernel]
         if float(np.real(np.trace(pk.conj().T @ rho @ pk))) > SUPPORT_TOL:
@@ -170,9 +175,9 @@ def renyi_entropy(rho: LabeledOperator, alpha: float) -> float:
 class OptimizerConfig:
     """Inner-minimization settings.
 
-    A start is accepted once its gradient residual max|jac| is at most
-    ``tol``; ``starts`` caps how many starts are tried before the best
-    value seen is returned.
+    A block's start is accepted once its gradient residual max|jac| is at
+    most ``tol``; ``starts`` caps how many starts a block gets before the
+    best value seen is returned.
     """
 
     starts: int = 3
@@ -202,114 +207,150 @@ class OptimizedValue:
 _FAILED = 1e6
 
 
-def _power_adjoint(u: np.ndarray, lam: np.ndarray, c: float, h: np.ndarray) -> np.ndarray:
-    """Adjoint of the Frechet derivative of x -> x**c at sigma = U diag(lam) U†."""
-    lc = lam**c
-    diff = lam[:, None] - lam[None, :]
-    close = np.abs(diff) < 1e-12 * max(lam[-1], 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = (lc[:, None] - lc[None, :]) / diff
-    deriv = c * lam ** (c - 1.0)
-    rows, cols = np.where(close)
-    phi[rows, cols] = deriv[rows]
-    hu = u.conj().T @ h @ u
-    return u @ (phi * hu) @ u.conj().T
+def _power_adjoint(lam: np.ndarray, c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Adjoint of the Frechet derivative of x -> x**c_k at sigma_k = U_k diag(lam_k) U_k†.
 
-
-def _divergence_objective(w: np.ndarray, alpha: float):
-    """Objective x -> (D(W W† || I_A (x) sigma(x)), gradient).
-
-    ``w`` is a (d_A, d_B, r) factor of the state W W†, which need not have
-    unit trace.  ``x`` holds the real and imaginary parts of a full complex
-    d_B x d_B factor L, interleaved (``L.view(float)``), of the
-    unnormalized conditioning state sigma(x) = L L†.
+    Every argument is a stack over blocks k: ``lam`` is (K, n) ascending,
+    ``c`` is (K,) and ``h`` is (K, n, n), each H_k given in the eigenbasis as
+    U_k† H_k U_k.  The result is in the same basis.
     """
-    d_a, d_b, r = w.shape
-    # W with B as the row index: sigma^{2c} acts by one product from the left
-    wb = w.transpose(1, 0, 2).reshape(d_b, d_a * r)
-    wf = wb.reshape(d_b * d_a, r)
-    wfh, wbh = wf.conj().T, wb.conj().T
-    c2 = (1.0 - alpha) / alpha
-    pref = alpha / (alpha - 1.0) / LN2
+    c = c[:, None]
+    lc = lam**c
+    diff = lam[:, :, None] - lam[:, None, :]
+    close = np.abs(diff) < 1e-12 * np.maximum(lam[:, -1], 1e-300)[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = (lc[:, :, None] - lc[:, None, :]) / diff
+    deriv = c * lam ** (c - 1.0)
+    return np.where(close, deriv[:, :, None], phi) * h
+
+
+def _divergence_objective(w: np.ndarray, alphas):
+    """Objective x -> (D(W_k W_k† || I_A (x) sigma_k(x)) for every block k, gradient).
+
+    ``w`` is a stack of K factors, (K, d_A, d_B, r), of states W_k W_k†, which
+    need not have unit trace, and ``alphas`` holds the K orders (none of them
+    1).  ``x`` holds the real and imaginary parts of K full complex d_B x d_B
+    factors L_k, interleaved (``L.view(float)``), of the unnormalized
+    conditioning states sigma_k(x) = L_k L_k†.  The blocks are independent:
+    block k's value depends only on L_k, and its gradient is exactly L_k's
+    slice of x.  A block whose sigma or sandwiched trace degenerates gets the
+    value ``_FAILED`` and a zero gradient.
+    """
+    k, d_a, d_b, r = w.shape
+    alphas = np.asarray(alphas, dtype=float)
+    # W with B as the row index: sigma's eigenbasis acts by one product from the left
+    wb = w.transpose(0, 2, 1, 3).reshape(k, d_b, d_a * r)
+    c = (1.0 - alphas) / (2.0 * alphas)
+    pref = alphas / (alphas - 1.0) / LN2
 
     def objective(x):
-        l = x.view(complex).reshape(d_b, d_b)
-        s = l @ l.conj().T
-        trs = float(np.trace(s).real)
-        if trs <= 0 or not np.isfinite(trs):
-            return _FAILED, np.zeros_like(x)
-        sigma = s / trs
-        lam, u = np.linalg.eigh(sigma)
+        l = x.view(complex).reshape(k, d_b, d_b)
+        # tr L L† is the sum of the squares of L's real and imaginary parts
+        trs = np.square(x).reshape(k, -1).sum(axis=1)
+        ok = (trs > 0) & np.isfinite(trs)
+        trs = np.where(ok, trs, 1.0)
+        lam, u = np.linalg.eigh((l @ l.conj().swapaxes(1, 2)) / trs[:, None, None])
         lam = np.clip(lam, 1e-30, None)
-        m = wfh @ (((u * lam**c2) @ u.conj().T) @ wb).reshape(d_b * d_a, r)
-        mvals, mvecs = np.linalg.eigh((m + m.conj().T) / 2)
-        clip = mvals.max(initial=0.0) * 1e-14
-        pos = mvals > clip
-        t = float(np.sum(mvals[pos] ** alpha))
-        if t <= 0 or not np.isfinite(t):
-            return _FAILED, np.zeros_like(x)
-        f = math.log2(t) / (alpha - 1.0)
+        uh = u.conj().swapaxes(1, 2)
+        # in sigma's eigenbasis V = U† W, and M = W† (I (x) sigma^{2c}) W = Z† Z
+        # with Z = lam^c V
+        v = uh @ wb
+        zf = ((lam ** c[:, None])[:, :, None] * v).reshape(k, d_b * d_a, r)
+        mvals, mvecs = np.linalg.eigh(zf.conj().swapaxes(1, 2) @ zf)
+        clip = mvals.max(axis=1, initial=0.0) * 1e-14
+        pos = mvals > clip[:, None]
+        powered = np.zeros_like(mvals)
+        np.power(mvals, alphas[:, None], out=powered, where=pos)
+        t = powered.sum(axis=1)
+        ok &= (t > 0) & np.isfinite(t)
+        t = np.where(ok, t, 1.0)
+        values = np.where(ok, np.log2(t) / (alphas - 1.0), _FAILED)
         mpow_vals = np.zeros_like(mvals)
-        mpow_vals[pos] = mvals[pos] ** (alpha - 1.0)
-        mpow = (mvecs * mpow_vals) @ mvecs.conj().T
-        # Tr_A[W M^(alpha-1) W†], the derivative of Tr M^alpha / alpha in sigma^{2c}
-        h_b = (wf @ mpow).reshape(d_b, d_a * r) @ wbh
-        h_b = (h_b + h_b.conj().T) / 2
-        g_sigma = (pref / t) * _power_adjoint(u, lam, c2, h_b)
-        gs = (g_sigma - float(np.trace(g_sigma @ sigma).real) * np.eye(d_b)) / trs
-        return f, (2.0 * (gs @ l)).view(float).ravel()
+        np.power(mvals, (alphas - 1.0)[:, None], out=mpow_vals, where=pos)
+        # U† Tr_A[W M^(alpha-1) W†] U, the derivative of Tr M^alpha / alpha in
+        # sigma^{2c}, from Y = V Q with M = Q diag(mvals) Q†
+        y = v.reshape(k, d_b * d_a, r) @ mvecs
+        h = ((y * mpow_vals[:, None, :]).reshape(k, d_b, d_a * r)
+             @ y.reshape(k, d_b, d_a * r).conj().swapaxes(1, 2))
+        h = (h + h.conj().swapaxes(1, 2)) / 2
+        g = (pref / t)[:, None, None] * _power_adjoint(lam, 2.0 * c, h)
+        # the gradient in L of the value at sigma = L L† / tr(L L†): with G the
+        # gradient in sigma, 2 (G - tr(G sigma)) L / tr(L L†)
+        g_trace = (np.diagonal(g, axis1=1, axis2=2).real * lam).sum(axis=1)
+        grad = (u @ (g @ (uh @ l)) - g_trace[:, None, None] * l) * (2.0 / trs)[:, None, None]
+        grad = np.where(ok[:, None, None], grad, 0.0)
+        return values, grad.view(float).ravel()
 
     return objective
 
 
 def _min_divergence(
-    w: np.ndarray,
-    alpha: float,
-    config: OptimizerConfig,
-    warm_starts=(),
-) -> tuple[float, np.ndarray, float]:
-    """min over sigma_B of D(W W† || I_A (x) sigma_B) for alpha != 1.
+    w: np.ndarray, alphas, config: OptimizerConfig
+) -> list[tuple[float, np.ndarray, float]]:
+    """min over sigma_B of D(W_k W_k† || I_A (x) sigma_B) for every block k.
 
-    Starts run in order (warm starts, Tr_A W W†, then seeded random ones,
-    ``config.starts`` in all) until one ends with a gradient residual of at
-    most ``config.tol``.  Returns (value, sigma, gradient-norm residual) of
-    that start, or of the lowest-value start when none converges.  A start
-    that ends on ``_FAILED`` is skipped; ConvergenceError when all do.
+    ``w`` stacks K factors, (K, d_A, d_B, r), and ``alphas`` their K orders
+    (none of them 1).  The first start, Tr_A W_k W_k†, runs for every block
+    in one L-BFGS-B minimization of the sum of the block values; a block's
+    gradient residual is max|jac| over its own slice.  Seeded random starts
+    then run, again jointly, only for the blocks whose residual is still above
+    ``config.tol``, up to ``config.starts`` starts in all.  Returns (value,
+    sigma, residual) per block: of its first start that meets ``tol``, or of
+    its lowest-value start when none does.  A start that ends on
+    ``_FAILED`` is skipped; ConvergenceError when every start of a block does.
     """
-    d_b = w.shape[1]
-    objective = _divergence_objective(w, alpha)
+    k, _, d_b, _ = w.shape
+    alphas = np.asarray(alphas, dtype=float)
     rng = generator(_START_SEED)
-    # warm starts, then a deterministic start at Tr_A W W†
-    starts = [np.asarray(s0, dtype=complex) for s0 in warm_starts]
-    starts.append(np.tensordot(w, w.conj(), axes=([0, 2], [0, 2])))
-    while len(starts) < max(config.starts, len(warm_starts) + 1):
-        g0 = ginibre(rng, d_b, d_b)
-        m0 = g0 @ g0.conj().T
-        starts.append(m0 / np.trace(m0).real)
+    best: list = [(math.inf, None, math.inf)] * k
+    todo = np.arange(k)
+    objective = _divergence_objective(w, alphas)
+    last = []
 
-    best = (math.inf, None, math.inf)
-    for sigma0 in starts:
-        s0 = (sigma0 + sigma0.conj().T) / 2 + 1e-9 * np.eye(d_b)
-        s0 /= np.trace(s0).real
-        l0 = np.linalg.cholesky(s0)
+    def summed(x):
+        # L-BFGS-B sees the sum; the block values of the last evaluation are kept
+        values, grad = objective(x)
+        last[:] = [values]
+        return float(np.sum(values)), grad
+
+    # the deterministic start Tr_A W W†, then seeded random ones
+    wb = w.transpose(0, 2, 1, 3).reshape(k, d_b, -1)
+    sigma0 = wb @ wb.conj().swapaxes(1, 2)
+    for start in range(max(config.starts, 1)):
+        if start:
+            g0 = ginibre(rng, d_b, d_b)
+            m0 = g0 @ g0.conj().T
+            sigma0 = np.broadcast_to(m0 / np.trace(m0).real, (todo.size, d_b, d_b))
+        s0 = (sigma0 + sigma0.conj().swapaxes(1, 2)) / 2 + 1e-9 * np.eye(d_b)
+        s0 /= np.trace(s0, axis1=1, axis2=2).real[:, None, None]
+        # the relative-reduction test sees the sum of the block values, so its
+        # tolerance is divided among the blocks
         res = scipy.optimize.minimize(
-            objective,
-            l0.view(float).ravel(),
+            summed,
+            np.linalg.cholesky(s0).view(float).ravel(),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": _MAXITER, "ftol": _FTOL, "gtol": _GTOL},
+            options={"maxiter": _MAXITER, "ftol": _FTOL / todo.size, "gtol": _GTOL},
         )
-        if not np.isfinite(res.fun) or res.fun == _FAILED:
-            continue
-        gnorm = float(np.max(np.abs(res.jac)))
-        converged = gnorm <= config.tol
-        if converged or res.fun < best[0]:
-            l = res.x.view(complex).reshape(d_b, d_b)
-            s = l @ l.conj().T
-            best = (float(res.fun), s / np.trace(s).real, gnorm)
-        if converged:
-            break
-    if best[1] is None:
+        # res.fun is the sum of these values
+        values = last[0]
+        resid = np.max(np.abs(res.jac).reshape(todo.size, -1), axis=1)
+        ls = res.x.view(complex).reshape(todo.size, d_b, d_b)
+        converged = np.zeros(todo.size, dtype=bool)
+        for j, block in enumerate(todo):
+            value = float(values[j])
+            if not np.isfinite(value) or value == _FAILED:
+                continue
+            converged[j] = resid[j] <= config.tol
+            if converged[j] or value < best[block][0]:
+                s = ls[j] @ ls[j].conj().T
+                best[block] = (value, s / np.trace(s).real, float(resid[j]))
+        if converged.any():
+            todo = todo[~converged]
+            if not todo.size:
+                break
+            objective = _divergence_objective(w[todo], alphas[todo])
+    if any(sigma is None for _, sigma, _ in best):
         raise ConvergenceError("all optimizer starts failed", best_value=None, residual=None)
     return best
 
@@ -327,39 +368,55 @@ def _split_bipartite(rho: LabeledOperator, b_labels) -> tuple[np.ndarray, int, i
     return ordered.matrix, d_a, d_b, b_labels
 
 
-def _optimized(rho, labels, alpha, config, warm_starts, mutual: bool) -> OptimizedValue:
-    """min over sigma_B of D~_alpha(rho_AB || X_A (x) sigma_B), signed as the quantity.
+def _optimized(rho, labels, alphas, config, mutual: bool) -> tuple[OptimizedValue, ...]:
+    """min over sigma_B of D~_alpha(rho_AB || X_A (x) sigma_B) at each order of ``alphas``,
+    signed as the quantity.
 
     X_A is I_A for the conditional entropy, whose value is the negated
     minimum, and rho_A for the mutual information, folded into W as in the
     module docstring.  B is taken in the eigenbasis P of supp rho_B (unitary
     at full rank): pinching onto it leaves rho unchanged, so by data
-    processing the optimal sigma_B lives there.
+    processing the optimal sigma_B lives there.  rho, rho_B and rho_A are
+    decomposed once; the orders inside ``ALPHA_ONE_BAND`` take the von
+    Neumann values, and the others are minimized together as one stack.
     """
-    alpha = float(alpha)
-    if alpha < 0.5:
-        what = "mutual information" if mutual else "conditional entropy"
-        raise UsageError(f"optimized {what} needs alpha >= 1/2, got {alpha}")
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if alpha < 0.5:
+            what = "mutual information" if mutual else "conditional entropy"
+            raise UsageError(f"optimized {what} needs alpha >= 1/2, got {alpha}")
     mat, d_a, d_b, b_labels = _split_bipartite(rho, labels)
     b_space = rho.space.restrict(b_labels)
     t = mat.reshape(d_a, d_b, d_a, d_b)
     rho_a = np.trace(t, axis1=1, axis2=3) if mutual else None
     rho_b = np.trace(t, axis1=0, axis2=2)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
+    band = [abs(a - 1.0) < ALPHA_ONE_BAND for a in alphas]
+    vn = None
+    if any(band):
         s_ab, s_b = von_neumann_entropy_matrix(mat), von_neumann_entropy_matrix(rho_b)
         value = von_neumann_entropy_matrix(rho_a) + s_b - s_ab if mutual else s_ab - s_b
-        return OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
-    vals, vecs, support = spectrum(mat)
-    w = (vecs[:, support] * np.sqrt(vals[support])).reshape(d_a, d_b, -1)
-    if mutual:
-        # support-only power: the pseudo-inverse one for a rank-deficient rho_A at alpha > 1
-        w = np.tensordot(fractional_power_matrix(rho_a, (1.0 - alpha) / (2.0 * alpha)), w, axes=1)
-    _, vecs, support = spectrum(rho_b)
-    p = vecs[:, support]
-    val, sigma, resid = _min_divergence(np.matmul(p.conj().T, w), alpha, config,
-                                        [p.conj().T @ s0 @ p for s0 in warm_starts])
-    return OptimizedValue(val if mutual else -val,
-                          LabeledOperator.square(b_space, p @ sigma @ p.conj().T), resid, "lbfgs")
+        vn = OptimizedValue(value, LabeledOperator.square(b_space, rho_b), 0.0, "von-neumann")
+    out = [vn if in_band else None for in_band in band]
+    renyi = [i for i, in_band in enumerate(band) if not in_band]
+    if renyi:
+        orders = [alphas[i] for i in renyi]
+        vals, vecs, support = spectrum(mat)
+        w = (vecs[:, support] * np.sqrt(vals[support])).reshape(d_a, d_b, -1)
+        if mutual:
+            # support-only power: the pseudo-inverse one for a rank-deficient rho_A at alpha > 1
+            spec_a = spectrum(rho_a)
+            w = np.stack([np.tensordot(spectral_power(spec_a, (1.0 - a) / (2.0 * a)), w, axes=1)
+                          for a in orders])
+        else:
+            w = np.broadcast_to(w, (len(orders),) + w.shape)
+        _, vecs, support = spectrum(rho_b)
+        p = vecs[:, support]
+        blocks = _min_divergence(np.matmul(p.conj().T, w), orders, config)
+        for i, (val, sigma, resid) in zip(renyi, blocks):
+            out[i] = OptimizedValue(val if mutual else -val,
+                                    LabeledOperator.square(b_space, p @ sigma @ p.conj().T),
+                                    resid, "lbfgs")
+    return tuple(out)
 
 
 def conditional_entropy(
@@ -367,13 +424,12 @@ def conditional_entropy(
     given,
     alpha: float,
     config: OptimizerConfig = DEFAULT_CONFIG,
-    warm_starts=(),
 ) -> OptimizedValue:
     """S~_alpha(A|B) = -min over sigma_B of the divergence from I_A (x) sigma_B.
 
     ``given`` lists the conditioning labels B; A is everything else.
     """
-    return _optimized(rho, given, alpha, config, warm_starts, mutual=False)
+    return _optimized(rho, given, (alpha,), config, mutual=False)[0]
 
 
 def mutual_information(
@@ -381,13 +437,12 @@ def mutual_information(
     minimize_over,
     alpha: float,
     config: OptimizerConfig = DEFAULT_CONFIG,
-    warm_starts=(),
 ) -> OptimizedValue:
     """I~_alpha(A;B) = min over sigma_B of D~_alpha(rho_AB || rho_A (x) sigma_B).
 
     ``minimize_over`` lists the labels B carrying the optimized state.
     """
-    return _optimized(rho, minimize_over, alpha, config, warm_starts, mutual=True)
+    return _optimized(rho, minimize_over, (alpha,), config, mutual=True)[0]
 
 
 # ---------------------------------------------------------------------------

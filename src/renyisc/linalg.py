@@ -11,8 +11,8 @@ from .spaces import LabeledOperator, SystemSpace
 CLIP_REL = 1e-12
 # a lowest eigenvalue below -PSD_REL * max(top, 1) is an error, not rounding
 PSD_REL = 1e-8
-# kernel threshold (relative to max(top, 1)) and allowed weight of rho there
-# for the support condition supp rho within supp sigma
+# allowed weight of rho on the kernel of sigma (its eigenvalues outside the
+# CLIP_REL support) for the support condition supp rho within supp sigma
 SUPPORT_TOL = 1e-9
 
 

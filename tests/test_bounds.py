@@ -243,6 +243,31 @@ def test_cq_register_labels_do_not_matter(kind):
     assert vn_limit_check(kind, ze, 0.01, CFG) == vn_limit_check(kind, xb, 0.01, CFG)
 
 
+def test_non_numeric_rate_rejected():
+    cq = random_cq_state(2, 2, 1)
+    for rate in ("0.5", None, [0.5]):
+        with pytest.raises(UsageError, match="finite rate 'm'"):
+            exponent_curve(DATA_COMPRESSION, cq, {"m": rate}, (0.8,), config=CFG)
+
+
+@pytest.mark.parametrize("kind", [REDISTRIBUTION, MEASUREMENT_COMPRESSION])
+def test_curve_entries_equal_single_order_bounds(kind):
+    # a curve minimizes each optimized term over the whole grid as one batch;
+    # every order must come out as it does alone (redistribution has optimized
+    # terms at alpha and at beta, conditional entropies and mutual informations)
+    state = _kind_states()[kind]
+    curve = exponent_curve(kind, state, RATES)
+    single = {}
+    for a in curve.alphas:
+        for e in converse_bound(kind, state, RATES, alpha=a).entries:
+            single[e.bound_id, e.alpha] = e
+    assert len(single) == len(curve.entries) == len(DEFAULT_GRID) * len(_BOUNDS[kind][3])
+    for e in curve.entries:
+        one = single[e.bound_id, e.alpha]
+        assert abs(e.expression_bits - one.expression_bits) <= 1e-10, (e, one)
+        assert abs(e.exponent - one.exponent) <= 1e-10, (e, one)
+
+
 def test_table_and_von_neumann_limits_name_the_same_bounds():
     assert set(_BOUNDS) == set(KINDS)
     for kind, state in _kind_states().items():

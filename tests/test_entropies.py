@@ -104,6 +104,20 @@ def test_divergence_disjoint_support_below_one():
     assert sandwiched_divergence_matrix(rho, sigma, 0.7) == math.inf
 
 
+def test_divergence_additive_on_product_with_small_eigenvalue():
+    # sigma (x) sigma has the eigenvalue (3e-5)^2 = 9e-10, inside its support;
+    # rho (x) rho has weight about 1/4 there, so D(rho (x) rho || sigma (x) sigma)
+    # is finite and twice D(rho || sigma)
+    rng = generator(20)
+    u = haar_isometry_matrix(rng, 2, 2)
+    sigma = u @ np.diag([1 - 3e-5, 3e-5]) @ u.conj().T
+    rho = random_state_matrix(rng, 2)
+    one = sandwiched_divergence_matrix(rho, sigma, 1.0)
+    two = sandwiched_divergence_matrix(np.kron(rho, rho), np.kron(sigma, sigma), 1.0)
+    assert math.isfinite(one)
+    assert abs(two - 2 * one) < 1e-6, (two, one)
+
+
 def test_divergence_monotone_in_alpha():
     rng = generator(2)
     rho, sigma = random_state_matrix(rng, 3), random_state_matrix(rng, 3)
@@ -174,13 +188,6 @@ def test_conditional_entropy_requires_half_or_more():
         conditional_entropy(rho, ["B"], 0.3, CFG)
 
 
-def test_conditional_entropy_warm_start_consistent():
-    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=6)
-    cold = conditional_entropy(rho, ["B"], 0.7, CFG)
-    warm = conditional_entropy(rho, ["B"], 0.7, CFG, warm_starts=(cold.optimizer.matrix,))
-    assert_allclose(warm.value, cold.value, atol=1e-8)
-
-
 def _count_minimize_runs(monkeypatch):
     """Record the final value of every L-BFGS run the optimizer starts."""
     runs = []
@@ -195,22 +202,73 @@ def _count_minimize_runs(monkeypatch):
     return runs
 
 
-def test_warm_start_at_optimum_needs_one_run(monkeypatch):
-    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=6)
-    cold = conditional_entropy(rho, ["B"], 0.7, CFG)
-    runs = _count_minimize_runs(monkeypatch)
-    warm = conditional_entropy(rho, ["B"], 0.7, CFG, warm_starts=(cold.optimizer.matrix,))
-    assert len(runs) == 1
-    assert warm.residual <= CFG.tol
-    assert_allclose(warm.value, cold.value, atol=1e-8)
+def _record_block_values(monkeypatch):
+    """Record, per L-BFGS run, the block values of its last objective evaluation."""
+    runs, last = [], []
+    real_objective = entropies._divergence_objective
+    real_minimize = entropies.scipy.optimize.minimize
+
+    def recording_objective(*args):
+        objective = real_objective(*args)
+
+        def recorded(x):
+            values, grad = objective(x)
+            last[:] = [values.copy()]
+            return values, grad
+
+        return recorded
+
+    def recording_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        runs.append(last[0])
+        return res
+
+    monkeypatch.setattr(entropies, "_divergence_objective", recording_objective)
+    monkeypatch.setattr(entropies.scipy.optimize, "minimize", recording_minimize)
+    return runs
 
 
 def test_unmet_tol_runs_every_start_and_keeps_the_best(monkeypatch):
     rho = random_state(SystemSpace.of(("A", 2), ("B", 3)), seed=13)
+    unmet = OptimizerConfig(starts=3, tol=0.0)
     runs = _count_minimize_runs(monkeypatch)
-    out = conditional_entropy(rho, ["B"], 1.5, OptimizerConfig(starts=3, tol=0.0))
+    out = conditional_entropy(rho, ["B"], 1.5, unmet)
     assert len(runs) == 3
     assert out.value == -min(runs)
+    # three orders in one batch: every block runs every start and keeps its lowest value
+    runs = _record_block_values(monkeypatch)
+    outs = entropies._optimized(rho, ["B"], (0.7, 1.5, 2.0), unmet, mutual=False)
+    assert len(runs) == 3 and all(len(values) == 3 for values in runs)
+    for k, out in enumerate(outs):
+        assert out.value == -min(values[k] for values in runs)
+
+
+def test_only_the_unconverged_block_restarts(monkeypatch):
+    rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=13)
+    alphas = (0.7, 1.5, 2.0)
+    expected = entropies._optimized(rho, ["B"], alphas, CFG, mutual=False)
+    real = entropies.scipy.optimize.minimize
+    sizes = []
+
+    def block_one_stops_early(fun, x0, **kwargs):
+        res = real(fun, x0, **kwargs)
+        if not sizes:
+            # block 1's slice of the joint gradient ends above tol
+            jac = res.jac.reshape(len(alphas), -1)
+            jac[1] = 10 * CFG.tol
+            res.jac = jac.ravel()
+        sizes.append(x0.size)
+        return res
+
+    monkeypatch.setattr(entropies.scipy.optimize, "minimize", block_one_stops_early)
+    outs = entropies._optimized(rho, ["B"], alphas, CFG, mutual=False)
+    # one joint run of three 2 x 2 complex factors, then a second start for block 1 alone
+    assert sizes == [3 * 8, 8]
+    for k in (0, 2):
+        assert outs[k].value == expected[k].value
+        assert outs[k].residual == expected[k].residual
+    assert outs[1].residual <= CFG.tol
+    assert_allclose(outs[1].value, expected[1].value, atol=1e-9)
 
 
 def test_failure_sentinel_is_never_accepted(monkeypatch):
@@ -225,7 +283,8 @@ def test_failure_sentinel_is_never_accepted(monkeypatch):
         def wrapped(x):
             evals.append(1)
             # the first start ends at once: sentinel value, zero gradient
-            return (entropies._FAILED, np.zeros_like(x)) if len(evals) == 1 else objective(x)
+            return ((np.full(1, entropies._FAILED), np.zeros_like(x)) if len(evals) == 1
+                    else objective(x))
 
         return wrapped
 
@@ -287,11 +346,43 @@ def _factor(rho, d_a, d_b):
     return (vecs * np.sqrt(np.clip(vals, 0, None))).reshape(d_a, d_b, -1)
 
 
+def _objective(w, alpha):
+    """The objective on the single block ``w``, as x -> (value, gradient)."""
+    objective = _divergence_objective(w[None], (alpha,))
+
+    def one(x):
+        values, grad = objective(x)
+        return values[0], grad
+
+    return one
+
+
+def test_batched_objective_blocks_are_independent():
+    # K = 3 blocks with their own factors and orders against one-block objectives;
+    # a block whose L is zero fails alone
+    rng = generator(21)
+    w = rng.normal(size=(3, 2, 3, 4)) + 1j * rng.normal(size=(3, 2, 3, 4))
+    alphas = (0.6, 1.5, 2.0)
+    l0 = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    values, grad = _divergence_objective(w, alphas)(l0.view(float).ravel())
+    grad = grad.reshape(3, -1)
+    for k in range(3):
+        one, one_grad = _objective(w[k], alphas[k])(l0[k].view(float).ravel())
+        assert_allclose(values[k], one, rtol=1e-12)
+        assert_allclose(grad[k], one_grad, rtol=1e-10, atol=1e-12)
+    l0[1] = 0
+    failed, failed_grad = _divergence_objective(w, alphas)(l0.view(float).ravel())
+    failed_grad = failed_grad.reshape(3, -1)
+    assert failed[1] == entropies._FAILED and not failed_grad[1].any()
+    assert_allclose(failed[[0, 2]], values[[0, 2]], rtol=1e-12)
+    assert_allclose(failed_grad[[0, 2]], grad[[0, 2]], rtol=1e-10, atol=1e-12)
+
+
 def test_optimizer_gradient_matches_finite_differences():
     rng = generator(9)
     rho = random_state_matrix(rng, 4)
     for alpha in (0.6, 0.75, 1.5, 2.0):
-        obj = _divergence_objective(_factor(rho, 2, 2), alpha)
+        obj = _objective(_factor(rho, 2, 2), alpha)
         l0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         x0 = l0.view(float).ravel()
         assert len(x0) == 8
@@ -328,7 +419,7 @@ def test_mutual_objective_is_the_divergence_from_rho_a_times_sigma(rank_a):
     rho = w @ random_state_matrix(rng, 2 * rank_a) @ w.conj().T
     rho_a = np.trace(rho.reshape(3, 2, 3, 2), axis1=1, axis2=3)
     for alpha in (0.6, 0.8, 1.5, 2.0):
-        obj = _divergence_objective(_factor(_mutual_transform(rho, rho_a, 2, alpha), 3, 2), alpha)
+        obj = _objective(_factor(_mutual_transform(rho, rho_a, 2, alpha), 3, 2), alpha)
 
         def reference(x):
             return sandwiched_divergence_matrix(rho, np.kron(rho_a, _sigma_of(x, 2)), alpha)
@@ -368,7 +459,7 @@ def test_optimizer_gradient_mutual_variant():
     rng = generator(10)
     rho = random_state_matrix(rng, 4)
     rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    obj = _divergence_objective(_factor(_mutual_transform(rho, rho_a, 2, 0.8), 2, 2), 0.8)
+    obj = _objective(_factor(_mutual_transform(rho, rho_a, 2, 0.8), 2, 2), 0.8)
     l0 = np.array([[0.7, 0.2 - 0.1j], [0.3j, 0.5]])
     x0 = l0.view(float).ravel()
     assert len(x0) == 8
@@ -463,7 +554,7 @@ def test_objective_decomposes_only_the_rank_sized_matrix(monkeypatch, quantity):
     real, sizes = np.linalg.eigh, []
 
     def counting_eigh(m, *args, **kwargs):
-        sizes.append(m.shape[0])
+        sizes.append(m.shape[-1])
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -478,7 +569,7 @@ def test_every_start_failing_raises(monkeypatch):
     rho = random_state(SystemSpace.of(("A", 2), ("B", 2)), seed=19)
 
     def always_failing(*args):
-        return lambda x: (entropies._FAILED, np.zeros_like(x))
+        return lambda x: (np.full(1, entropies._FAILED), np.zeros_like(x))
 
     monkeypatch.setattr(entropies, "_divergence_objective", always_failing)
     runs = _count_minimize_runs(monkeypatch)
