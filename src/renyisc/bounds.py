@@ -174,7 +174,7 @@ class _BoundEvaluator:
         xs = [p.alpha if order == "a" else p.beta for p in params]
         if quantity == "S":
             vals, _, support = spectrum(rho.matrix, vectors=False)
-            return np.array([classical_renyi_entropy(vals[support], x) for x in xs])
+            return classical_renyi_entropy(vals[support], xs)
         outs = _optimized(rho, list(given), xs, self.config, mutual=quantity == "I")
         return np.array([out.value for out in outs])
 

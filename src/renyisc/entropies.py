@@ -36,6 +36,9 @@ import scipy.optimize
 from .errors import ConvergenceError, DimensionMismatchError, UsageError
 from .linalg import (
     SUPPORT_TOL,
+    _entrywise,
+    _orders,
+    _scalar,
     fractional_power_matrix,
     schatten_norm,
     spectral_power,
@@ -72,66 +75,105 @@ def alpha_params(alpha: float) -> AlphaParams:
 
 # ---------------------------------------------------------------------------
 # divergences
+#
+# The closed-form quantities take one matrix or a stack (..., d, d) of them,
+# and one order or a tuple of orders; a tuple adds a last axis over the orders
+# to the result, and one matrix at one order gives a float.  Each operator is
+# decomposed once for all the orders.  Powers take scalar exponents and the
+# last logarithm is ``_log2``, so a value in a stack is rounded as in a
+# one-matrix call.
 
 
-def _kernel(rho: np.ndarray, sspec) -> np.ndarray | None:
-    """Mask of sigma's kernel, the complement of ``spectrum(sigma)``'s support,
-    or None when rho has more than ``SUPPORT_TOL`` weight there (supp rho not
-    within supp sigma)."""
+def _log2(t) -> np.ndarray:
+    """log2 of every entry, -inf where it is <= 0, rounded as in a one-matrix call."""
+    return _entrywise(lambda x: math.log2(x) if x > 0 else -math.inf, t)
+
+
+def _weights(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """<v_i|m|v_i> for every column v_i of ``vecs``, matrix by matrix."""
+    return np.real(np.sum(vecs.conj() * (m @ vecs), axis=-2))
+
+
+def _kernel(rho: np.ndarray, sspec) -> tuple[np.ndarray, np.ndarray]:
+    """(kernel, outside) for ``spectrum(sigma)``, matrix by matrix.
+
+    ``kernel`` masks sigma's kernel, the complement of its support;
+    ``outside`` marks the matrices where rho has more than ``SUPPORT_TOL``
+    weight there (supp rho not within supp sigma).
+    """
     _, svecs, support = sspec
     kernel = ~support
+    outside = np.zeros(kernel.shape[:-1], dtype=bool)
     if kernel.any():
-        pk = svecs[:, kernel]
-        if float(np.real(np.trace(pk.conj().T @ rho @ pk))) > SUPPORT_TOL:
-            return None
-    return kernel
+        weight = np.sum(np.where(kernel, _weights(rho, svecs), 0.0), axis=-1)
+        outside = weight > SUPPORT_TOL
+    return kernel, outside
 
 
-def quantum_relative_entropy_matrix(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """D(rho||sigma) = tr rho (log2 rho - log2 sigma), +inf off-support."""
-    sspec = spectrum(sigma)
-    kernel = _kernel(rho, sspec)
-    if kernel is None:
-        return math.inf
+def _relative_entropy(rho: np.ndarray, sspec, kernel: np.ndarray) -> np.ndarray:
+    """tr rho (log2 rho - log2 sigma) from sigma's spectrum, ignoring the support."""
     svals, svecs, _ = sspec
     # weights of rho on sigma's eigenvectors
-    w = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho, svecs))
+    w = _weights(rho, svecs)
     mask = (~kernel) & (w > 0)
-    term2 = float(np.sum(w[mask] * np.log2(svals[mask])))
+    term2 = np.sum(np.where(mask, w * np.log2(np.where(mask, svals, 1.0)), 0.0), axis=-1)
     return -von_neumann_entropy_matrix(rho) - term2
 
 
-def sandwiched_divergence_matrix(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
-    """Sandwiched Renyi divergence of order alpha, in bits."""
-    alpha = float(alpha)
-    if alpha < 0:
-        raise UsageError(f"alpha must be >= 0, got {alpha}")
+def quantum_relative_entropy_matrix(rho: np.ndarray, sigma: np.ndarray):
+    """D(rho||sigma) = tr rho (log2 rho - log2 sigma), +inf off-support."""
+    sspec = spectrum(sigma)
+    kernel, outside = _kernel(rho, sspec)
+    return _scalar(np.where(outside, math.inf, _relative_entropy(rho, sspec, kernel)))
+
+
+def sandwiched_divergence_matrix(rho: np.ndarray, sigma: np.ndarray, alpha):
+    """Sandwiched Renyi divergence in bits, of order ``alpha`` or of each order
+    of a tuple, for one pair or matrix by matrix over stacks that broadcast.
+
+    sigma is decomposed once for all the orders, and each order's
+    sigma^c rho sigma^c is formed from that one spectrum.  supp rho not within
+    supp sigma gives +inf above 1 and in the von Neumann band, for that pair
+    only.
+    """
+    orders, alone = _orders(alpha)
+    for a in orders:
+        if a < 0:
+            raise UsageError(f"alpha must be >= 0, got {a}")
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
+    if rho.shape[-2:] != sigma.shape[-2:]:
         raise DimensionMismatchError("divergence arguments live on different spaces")
-    if alpha == 0.0:
+    out = np.empty(np.broadcast_shapes(rho.shape[:-2], sigma.shape[:-2]) + orders.shape)
+    zero = orders == 0.0
+    band = np.abs(orders - 1.0) < ALPHA_ONE_BAND
+    sandwiched = ~zero & ~band
+    if zero.any():
+        # -log2 tr(Pi_rho sigma), Pi_rho the support projector of rho
         _, rvecs, support = spectrum(rho)
-        v = rvecs[:, support]
-        overlap = float(np.trace(v.conj().T @ sigma @ v).real)
-        if overlap <= 0:
-            return math.inf
-        return -math.log2(overlap)
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        return quantum_relative_entropy_matrix(rho, sigma)
-    c = (1.0 - alpha) / (2.0 * alpha)
+        overlap = np.sum(np.where(support, _weights(sigma, rvecs), 0.0), axis=-1)
+        out[..., zero] = -_log2(overlap)[..., None]
+    if zero.all():
+        return _scalar(out[..., 0]) if alone else out
     sspec = spectrum(sigma)
-    if alpha > 1.0 and _kernel(rho, sspec) is None:
-        return math.inf
-    k = spectral_power(sspec, c)
-    vals, _, support = spectrum(k @ rho @ k, vectors=False)
-    t = float(np.sum(vals[support] ** alpha))
-    if t <= 0:
-        return math.inf
-    return math.log2(t) / (alpha - 1.0)
+    kernel, outside = _kernel(rho, sspec)
+    if band.any():
+        d = np.where(outside, math.inf, _relative_entropy(rho, sspec, kernel))
+        out[..., band] = d[..., None]
+    picked = np.flatnonzero(sandwiched)
+    if picked.size:
+        cs = [(1.0 - a) / (2.0 * a) for a in orders[picked].tolist()]
+        ks = np.stack([spectral_power(sspec, c) for c in cs], axis=-3)
+        vals, _, support = spectrum(ks @ rho[..., None, :, :] @ ks, vectors=False)
+        for j, i in enumerate(picked):
+            a = float(orders[i])
+            t = np.sum(np.where(support[..., j, :], vals[..., j, :] ** a, 0.0), axis=-1)
+            d = np.where(t > 0, _log2(t) / (a - 1.0), math.inf)
+            out[..., i] = np.where(outside, math.inf, d) if a > 1.0 else d
+    return _scalar(out[..., 0]) if alone else out
 
 
-def sandwiched_divergence(rho: LabeledOperator, sigma: LabeledOperator, alpha: float) -> float:
+def sandwiched_divergence(rho: LabeledOperator, sigma: LabeledOperator, alpha):
     if rho.space_out.dim != sigma.space_out.dim:
         raise DimensionMismatchError("divergence arguments live on different spaces")
     return sandwiched_divergence_matrix(rho.matrix, sigma.matrix, alpha)
@@ -145,25 +187,29 @@ def quantum_relative_entropy(rho: LabeledOperator, sigma: LabeledOperator) -> fl
 # unconditional entropies
 
 
-def von_neumann_entropy_matrix(rho: np.ndarray) -> float:
-    vals, _, support = spectrum(rho, vectors=False)
-    return classical_renyi_entropy(vals[support], 1.0)
+def von_neumann_entropy_matrix(rho: np.ndarray):
+    return renyi_entropy_matrix(rho, 1.0)
 
 
 def von_neumann_entropy(rho: LabeledOperator) -> float:
     return von_neumann_entropy_matrix(rho.matrix)
 
 
-def renyi_entropy_matrix(rho: np.ndarray, alpha: float) -> float:
-    """S_alpha(rho) = (1/(1-alpha)) log2 tr rho^alpha; log-rank at alpha=0."""
-    alpha = float(alpha)
-    if alpha < 0:
-        raise UsageError(f"alpha must be >= 0, got {alpha}")
+def renyi_entropy_matrix(rho: np.ndarray, alpha):
+    """S_alpha(rho) = (1/(1-alpha)) log2 tr rho^alpha; log-rank at alpha=0.
+
+    ``rho`` may be a stack and ``alpha`` a tuple of orders, as for the
+    divergence; the spectrum is taken once.
+    """
+    orders, _ = _orders(alpha)
+    for a in orders:
+        if a < 0:
+            raise UsageError(f"alpha must be >= 0, got {a}")
     vals, _, support = spectrum(rho, vectors=False)
-    return classical_renyi_entropy(vals[support], alpha)
+    return classical_renyi_entropy(np.where(support, vals, 0.0), alpha)
 
 
-def renyi_entropy(rho: LabeledOperator, alpha: float) -> float:
+def renyi_entropy(rho: LabeledOperator, alpha):
     return renyi_entropy_matrix(rho.matrix, alpha)
 
 
@@ -535,14 +581,27 @@ def cmi_generalizations(
 # classical (diagonal) fast paths
 
 
-def classical_renyi_entropy(p: np.ndarray, alpha: float) -> float:
-    p = np.asarray(p, dtype=float).reshape(-1)
-    p = p[p > 0]
-    if abs(alpha - 1.0) < ALPHA_ONE_BAND:
-        return float(-np.sum(p * np.log2(p)))
-    if alpha == 0.0:
-        return math.log2(len(p))
-    return float(math.log2(np.sum(p**alpha)) / (1.0 - alpha))
+def classical_renyi_entropy(p: np.ndarray, alpha):
+    """Renyi entropy in bits of the distribution ``p`` over its last axis.
+
+    Entries <= 0 are outside the support.  ``p`` may stack distributions on
+    its leading axes, and ``alpha`` may be a tuple of orders (a last axis of
+    the result); one distribution at one order gives a float.
+    """
+    p = np.asarray(p, dtype=float)
+    pos = p > 0
+    orders, alone = _orders(alpha)
+    out = np.empty(p.shape[:-1] + orders.shape)
+    q = np.where(pos, p, 1.0)
+    for j, a in enumerate(orders.tolist()):
+        if abs(a - 1.0) < ALPHA_ONE_BAND:
+            out[..., j] = -np.sum(np.where(pos, q * np.log2(q), 0.0), axis=-1)
+        elif a == 0.0:
+            out[..., j] = _log2(np.count_nonzero(pos, axis=-1))
+        else:
+            t = np.sum(np.where(pos, q**a, 0.0), axis=-1)
+            out[..., j] = _log2(t) / (1.0 - a)
+    return _scalar(out[..., 0]) if alone else out
 
 
 def classical_conditional_entropy(joint: np.ndarray, alpha: float) -> float:
@@ -555,7 +614,7 @@ def classical_conditional_entropy(joint: np.ndarray, alpha: float) -> float:
     alpha = float(alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_BAND:
         # chain rule H(X|B) = H(XB) - H(B)
-        h_xb = classical_renyi_entropy(joint, 1.0)
+        h_xb = classical_renyi_entropy(joint.reshape(-1), 1.0)
         return h_xb - classical_renyi_entropy(joint.sum(axis=0), 1.0)
     inner = np.sum(joint**alpha, axis=0) ** (1.0 / alpha)
     return float((alpha / (1.0 - alpha)) * math.log2(np.sum(inner)))

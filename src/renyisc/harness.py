@@ -9,6 +9,13 @@ collected for diagnosis and replay from (suite id, seed, trial index).
 A protocol soundness sweep is a suite whose trial draws a random instance
 of one kind, runs it, and yields the slack of log2 merit under each of the
 kind's bounds; both run on the one trial loop, ``_run_trials``.
+
+The loop hands out chunks of trials.  The closed-form suites take a whole
+chunk (at most ``_STACK_ENTRIES`` matrix entries per operator stack) and
+evaluate it as stacks; the optimizer suites and the sweeps take one trial
+at a time.  Every trial draws from its own generator, keyed by (seed, trial
+index), so its margins do not depend on the chunk it falls in and replay
+from (suite id, seed, trial index) is unchanged.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ from .entropies import (
     cmi_generalizations,
     mutual_information,
     renyi_entropy,
+    renyi_entropy_matrix,
     sandwiched_divergence,
     sandwiched_divergence_matrix,
     von_neumann_cmi,
 )
 from .errors import UsageError
-from .linalg import fidelity, schatten_norm
+from .linalg import _kron, fidelity, fidelity_matrix, schatten_norm
 from .random_ensembles import (
     generator,
     ginibre,
@@ -49,6 +57,7 @@ from .spaces import (
     LabeledOperator,
     SystemSpace,
     partial_trace,
+    partial_trace_matrix,
     permute_systems,
 )
 
@@ -103,9 +112,13 @@ def _state(rng, space: SystemSpace) -> LabeledOperator:
 
 
 def _pure(rng, space: SystemSpace) -> LabeledOperator:
-    v = ginibre(rng, space.dim, 1)[:, 0]
+    return LabeledOperator.square(space, _pure_matrix(rng, space.dim))
+
+
+def _pure_matrix(rng, dim: int) -> np.ndarray:
+    v = ginibre(rng, dim, 1)[:, 0]
     v /= np.linalg.norm(v)
-    return LabeledOperator.square(space, np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def _cq(rng, space: SystemSpace, classical_label: str) -> LabeledOperator:
@@ -135,95 +148,139 @@ def _random_channel(rng, space_in: SystemSpace, outputs, env_label: str) -> Chan
 
 
 # ---------------------------------------------------------------------------
-# individual suites; each yields (check name, margin, values)
+# individual suites
+#
+# A closed-form suite takes the generators of a chunk of trials, draws each
+# trial from its own generator in a fixed order, evaluates the whole chunk as
+# stacks and returns one list of (check name, margin, values) per trial.  An
+# optimizer suite is a per-trial body that yields those rows for one trial.
 
 
-def _suite_holder(rng, dims):
+def _draw(rngs, draw) -> tuple:
+    """``draw(rng)``, a tuple of matrices, for each trial's generator; returns
+    one stack over the trials per position of the tuple."""
+    return tuple(np.stack(column) for column in zip(*(draw(rng) for rng in rngs)))
+
+
+def _suite_holder(rngs, dims):
     d = dims[0]
-    m = ginibre(rng, d, d)
-    n = ginibre(rng, d, d)
-    for p in (1.25, 2.0, 4.0):
-        q = p / (p - 1.0)
-        lhs = schatten_norm(m, p) * schatten_norm(n, q)
-        rhs = schatten_norm(m @ n, 1.0)
-        yield f"holder-p{p}", lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}
+    m, n = _draw(rngs, lambda rng: (ginibre(rng, d, d), ginibre(rng, d, d)))
+    ps = (1.25, 2.0, 4.0)
+    norm_m = schatten_norm(m, ps).tolist()
+    norm_n = schatten_norm(n, [p / (p - 1.0) for p in ps]).tolist()
+    norm_mn = schatten_norm(m @ n, 1.0).tolist()
+    out = []
+    for nm, nn, rhs in zip(norm_m, norm_n, norm_mn):
+        rows = []
+        for j, p in enumerate(ps):
+            lhs = nm[j] * nn[j]
+            rows.append((f"holder-p{p}", lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}))
+        out.append(rows)
+    return out
 
 
-def _suite_mccarthy(rng, dims):
+def _suite_mccarthy(rngs, dims):
     d = dims[0]
-    m = random_state_matrix(rng, d) * rng.uniform(0.5, 2.0)
-    n = random_state_matrix(rng, d) * rng.uniform(0.5, 2.0)
-    for p in (0.3, 0.7):
-        lhs = schatten_norm(m, p) ** p + schatten_norm(n, p) ** p
-        rhs = schatten_norm(m + n, p) ** p
-        yield f"mccarthy-sub-p{p}", lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}
-    for p in (1.5, 2.0, 3.0):
-        lhs = schatten_norm(m + n, p) ** p
-        rhs = schatten_norm(m, p) ** p + schatten_norm(n, p) ** p
-        yield f"mccarthy-super-p{p}", lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}
+    m, n = _draw(rngs, lambda rng: tuple(random_state_matrix(rng, d) * rng.uniform(0.5, 2.0)
+                                         for _ in range(2)))
+    sub, sup = (0.3, 0.7), (1.5, 2.0, 3.0)
+    ps = sub + sup
+    norms = zip(*(schatten_norm(x, ps).tolist() for x in (m, n, m + n)))
+    out = []
+    for nm, nn, nmn in norms:
+        rows = []
+        for j, p in enumerate(ps):
+            parts = nm[j] ** p + nn[j] ** p
+            whole = nmn[j] ** p
+            if p in sub:
+                lhs, rhs, name = parts, whole, f"mccarthy-sub-p{p}"
+            else:
+                lhs, rhs, name = whole, parts, f"mccarthy-super-p{p}"
+            rows.append((name, lhs - rhs, {"p": p, "lhs": lhs, "rhs": rhs}))
+        out.append(rows)
+    return out
 
 
-def _suite_divergence_monotonicity(rng, dims):
-    space = SystemSpace.of(("A", dims[0]))
-    rho = _state(rng, space)
-    sigma = _state(rng, space)
+def _suite_divergence_monotonicity(rngs, dims):
+    d = dims[0]
+    rho, sigma = _draw(rngs, lambda rng: tuple(random_state_matrix(rng, d) for _ in range(2)))
     orders = (0.5, 0.6, 0.8, 1.0, 1.3, 2.0)
-    vals = [sandwiched_divergence(rho, sigma, a) for a in orders]
-    for (a1, v1), (a2, v2) in zip(zip(orders, vals), list(zip(orders, vals))[1:]):
-        yield f"monotone-{a1}-{a2}", v2 - v1, {"alpha": a1, "alpha'": a2, "D": v1, "D'": v2}
+    out = []
+    for vals in sandwiched_divergence_matrix(rho, sigma, orders).tolist():
+        out.append([(f"monotone-{a1}-{a2}", v2 - v1,
+                     {"alpha": a1, "alpha'": a2, "D": v1, "D'": v2})
+                    for (a1, v1), (a2, v2) in zip(zip(orders, vals), list(zip(orders, vals))[1:])])
+    return out
 
 
-def _suite_entropy_bounds(rng, dims):
+def _suite_entropy_bounds(rngs, dims):
     d = dims[0]
-    space = SystemSpace.of(("A", d))
-    rho = _state(rng, space)
-    for a in (0.0, 0.5, 1.0, 2.0, 5.0):
-        s = renyi_entropy(rho, a)
-        yield f"nonneg-a{a}", s, {"alpha": a, "S": s}
-        yield f"dim-a{a}", math.log2(d) - s, {"alpha": a, "S": s}
-    pure = _pure(rng, space)
-    for a in (0.5, 1.0, 2.0):
-        yield f"pure-a{a}", -abs(renyi_entropy(pure, a)), {"alpha": a}
+    rho, pure = _draw(rngs, lambda rng: (random_state_matrix(rng, d), _pure_matrix(rng, d)))
+    orders, pure_orders = (0.0, 0.5, 1.0, 2.0, 5.0), (0.5, 1.0, 2.0)
+    s_mixed = renyi_entropy_matrix(rho, orders).tolist()
+    s_pure = renyi_entropy_matrix(pure, pure_orders).tolist()
+    out = []
+    for sm, sp in zip(s_mixed, s_pure):
+        rows = []
+        for a, s in zip(orders, sm):
+            rows.append((f"nonneg-a{a}", s, {"alpha": a, "S": s}))
+            rows.append((f"dim-a{a}", math.log2(d) - s, {"alpha": a, "S": s}))
+        rows += [(f"pure-a{a}", -abs(s), {"alpha": a}) for a, s in zip(pure_orders, sp)]
+        out.append(rows)
+    return out
 
 
-def _suite_additivity(rng, dims):
+def _suite_additivity(rngs, dims):
     d1, d2 = dims[0], dims[1]
-    s1, s2 = SystemSpace.of(("A", d1)), SystemSpace.of(("B", d2))
-    r1, r2 = _state(rng, s1), _state(rng, s2)
-    g1, g2 = _state(rng, s1), _state(rng, s2)
-    joint_r = r1.tensor(r2)
-    joint_g = g1.tensor(g2)
-    for a in (0.6, 1.0, 2.0):
-        lhs = sandwiched_divergence(joint_r, joint_g, a)
-        rhs = sandwiched_divergence(r1, g1, a) + sandwiched_divergence(r2, g2, a)
-        yield f"div-add-a{a}", -abs(lhs - rhs), {"alpha": a, "joint": lhs, "sum": rhs}
-        se = renyi_entropy(joint_r, a) - renyi_entropy(r1, a) - renyi_entropy(r2, a)
-        yield f"ent-add-a{a}", -abs(se), {"alpha": a, "defect": se}
+    r1, r2, g1, g2 = _draw(rngs, lambda rng: tuple(random_state_matrix(rng, d)
+                                                   for d in (d1, d2, d1, d2)))
+    orders = (0.6, 1.0, 2.0)
+    joint = sandwiched_divergence_matrix(_kron(r1, r2), _kron(g1, g2), orders).tolist()
+    div1 = sandwiched_divergence_matrix(r1, g1, orders).tolist()
+    div2 = sandwiched_divergence_matrix(r2, g2, orders).tolist()
+    s_joint = renyi_entropy_matrix(_kron(r1, r2), orders).tolist()
+    s1 = renyi_entropy_matrix(r1, orders).tolist()
+    s2 = renyi_entropy_matrix(r2, orders).tolist()
+    out = []
+    for t in range(len(rngs)):
+        rows = []
+        for j, a in enumerate(orders):
+            lhs, rhs = joint[t][j], div1[t][j] + div2[t][j]
+            rows.append((f"div-add-a{a}", -abs(lhs - rhs), {"alpha": a, "joint": lhs, "sum": rhs}))
+            se = s_joint[t][j] - s1[t][j] - s2[t][j]
+            rows.append((f"ent-add-a{a}", -abs(se), {"alpha": a, "defect": se}))
+        out.append(rows)
+    return out
 
 
-def _suite_isometric_invariance(rng, dims):
+def _suite_isometric_invariance(rngs, dims):
     d = dims[0]
-    space = SystemSpace.of(("A", d))
-    rho, sigma = _state(rng, space), _state(rng, space)
-    v = haar_isometry_matrix(rng, d + 2, d)
-    big = SystemSpace.of(("A", d + 2))
-    vrho = LabeledOperator.square(big, v @ rho.matrix @ v.conj().T)
-    vsig = LabeledOperator.square(big, v @ sigma.matrix @ v.conj().T)
-    for a in (0.6, 1.0, 2.0):
-        diff = sandwiched_divergence(vrho, vsig, a) - sandwiched_divergence(rho, sigma, a)
-        yield f"div-isom-a{a}", -abs(diff), {"alpha": a, "defect": diff}
-        se = renyi_entropy(vrho, a) - renyi_entropy(rho, a)
-        yield f"ent-isom-a{a}", -abs(se), {"alpha": a, "defect": se}
+    rho, sigma, v = _draw(rngs, lambda rng: (random_state_matrix(rng, d),
+                                             random_state_matrix(rng, d),
+                                             haar_isometry_matrix(rng, d + 2, d)))
+    vh = v.conj().swapaxes(1, 2)
+    vrho = v @ rho @ vh
+    orders = (0.6, 1.0, 2.0)
+    div_big = sandwiched_divergence_matrix(vrho, v @ sigma @ vh, orders)
+    div = sandwiched_divergence_matrix(rho, sigma, orders)
+    ent = renyi_entropy_matrix(vrho, orders) - renyi_entropy_matrix(rho, orders)
+    out = []
+    for dd, de in zip((div_big - div).tolist(), ent.tolist()):
+        rows = []
+        for a, diff, se in zip(orders, dd, de):
+            rows.append((f"div-isom-a{a}", -abs(diff), {"alpha": a, "defect": diff}))
+            rows.append((f"ent-isom-a{a}", -abs(se), {"alpha": a, "defect": se}))
+        out.append(rows)
+    return out
 
 
-def _suite_entropy_duality(rng, dims):
-    space = SystemSpace.of(("A", dims[0]), ("B", dims[1]))
-    psi = _pure(rng, space)
-    ra = partial_trace(psi, {"A"})
-    rb = partial_trace(psi, {"B"})
-    for a in (0.0, 0.5, 1.0, 2.0, 4.0):
-        diff = renyi_entropy(ra, a) - renyi_entropy(rb, a)
-        yield f"duality-a{a}", -abs(diff), {"alpha": a, "defect": diff}
+def _suite_entropy_duality(rngs, dims):
+    (psi,) = _draw(rngs, lambda rng: (_pure_matrix(rng, dims[0] * dims[1]),))
+    orders = (0.0, 0.5, 1.0, 2.0, 4.0)
+    diff = (renyi_entropy_matrix(partial_trace_matrix(psi, dims, [0]), orders)
+            - renyi_entropy_matrix(partial_trace_matrix(psi, dims, [1]), orders))
+    return [[(f"duality-a{a}", -abs(x), {"alpha": a, "defect": x}) for a, x in zip(orders, row)]
+            for row in diff.tolist()]
 
 
 def _suite_conditional_duality(rng, dims):
@@ -257,16 +314,21 @@ def _suite_dpi(rng, dims):
         yield f"dpi-mutual-a{a}", pre - post, {"alpha": a, "pre": pre, "post": post}
 
 
-def _suite_subadditivity(rng, dims):
-    space = SystemSpace.of(("A", dims[0]), ("B", dims[1]))
-    rho = _state(rng, space)
-    ra = partial_trace(rho, {"A"})
+def _suite_subadditivity(rngs, dims):
+    (rho,) = _draw(rngs, lambda rng: (random_state_matrix(rng, dims[0] * dims[1]),))
+    orders = (0.0, 0.5, 1.0, 2.0, 4.0)
     logb = math.log2(dims[1])
-    for a in (0.0, 0.5, 1.0, 2.0, 4.0):
-        sab = renyi_entropy(rho, a)
-        sa = renyi_entropy(ra, a)
-        yield f"sub-lower-a{a}", sab - (sa - logb), {"alpha": a, "S(AB)": sab, "S(A)": sa}
-        yield f"sub-upper-a{a}", (sa + logb) - sab, {"alpha": a, "S(AB)": sab, "S(A)": sa}
+    s_ab = renyi_entropy_matrix(rho, orders).tolist()
+    s_a = renyi_entropy_matrix(partial_trace_matrix(rho, dims, [0]), orders).tolist()
+    out = []
+    for row_ab, row_a in zip(s_ab, s_a):
+        rows = []
+        for a, sab, sa in zip(orders, row_ab, row_a):
+            values = {"alpha": a, "S(AB)": sab, "S(A)": sa}
+            rows.append((f"sub-lower-a{a}", sab - (sa - logb), values))
+            rows.append((f"sub-upper-a{a}", (sa + logb) - sab, values))
+        out.append(rows)
+    return out
 
 
 def _suite_dimension_bounds(rng, dims):
@@ -406,35 +468,42 @@ def _suite_cmi_generalizations(rng, dims):
         yield f"duality-a{a}", -abs(i1c - i1d), {"alpha": a, "I1|C": i1c, "I1|D": i1d}
 
 
-def _suite_fidelity_product(rng, dims):
+def _suite_fidelity_product(rngs, dims):
     d_a, d_b = dims[0], dims[1]
-    rho = _state(rng, SystemSpace.of(("A", d_a), ("B", d_b)))
-    sigma_a = random_state_matrix(rng, d_a)
-    chi_b = random_state_matrix(rng, d_b)
-    rho_b = partial_trace(rho, {"B"}).matrix
-    space = rho.space
-    lhs = fidelity(rho, LabeledOperator.square(space, np.kron(sigma_a, rho_b)))
-    rhs = fidelity(rho, LabeledOperator.square(space, np.kron(sigma_a, chi_b))) ** 2
-    yield "lemma-product", lhs - rhs, {"F(rho_B)": lhs, "F^2(chi)": rhs}
+    rho, sigma_a, chi_b = _draw(rngs, lambda rng: tuple(random_state_matrix(rng, d)
+                                                        for d in (d_a * d_b, d_a, d_b)))
+    rho_b = partial_trace_matrix(rho, dims, [1])
+    # rho is decomposed once for both fidelities
+    f = fidelity_matrix(rho[:, None], _kron(sigma_a[:, None], np.stack([rho_b, chi_b], axis=1)))
+    return [[("lemma-product", lhs - chi**2, {"F(rho_B)": lhs, "F^2(chi)": chi**2})]
+            for lhs, chi in f.tolist()]
 
 
+# suite id -> (body, default dims, tolerance, largest operator dimension at
+# given dims); a closed-form suite has the last and runs over chunks of trials,
+# an optimizer suite has None and runs one trial at a time
 _SUITES = {
-    "holder": (_suite_holder, (4,), CLOSED_FORM_TOL),
-    "mccarthy": (_suite_mccarthy, (4,), CLOSED_FORM_TOL),
-    "divergence-monotonicity": (_suite_divergence_monotonicity, (3,), CLOSED_FORM_TOL),
-    "entropy-bounds": (_suite_entropy_bounds, (4,), CLOSED_FORM_TOL),
-    "additivity": (_suite_additivity, (2, 3), CLOSED_FORM_TOL),
-    "isometric-invariance": (_suite_isometric_invariance, (3,), CLOSED_FORM_TOL),
-    "entropy-duality": (_suite_entropy_duality, (3, 4), CLOSED_FORM_TOL),
-    "conditional-duality": (_suite_conditional_duality, (2, 3, 2), OPTIMIZER_TOL),
-    "dpi": (_suite_dpi, (2, 3), OPTIMIZER_TOL),
-    "subadditivity": (_suite_subadditivity, (2, 3), CLOSED_FORM_TOL),
-    "dimension-bounds": (_suite_dimension_bounds, (2, 2, 2), OPTIMIZER_TOL),
-    "fidelity-bounds": (_suite_fidelity_bounds, (2, 2), OPTIMIZER_TOL),
-    "cq-monotonicity": (_suite_cq_monotonicity, (2, 2, 2), OPTIMIZER_TOL),
-    "cmi-generalizations": (_suite_cmi_generalizations, (2, 2, 2), OPTIMIZER_TOL),
-    "fidelity-product": (_suite_fidelity_product, (2, 3), CLOSED_FORM_TOL),
+    "holder": (_suite_holder, (4,), CLOSED_FORM_TOL, math.prod),
+    "mccarthy": (_suite_mccarthy, (4,), CLOSED_FORM_TOL, math.prod),
+    "divergence-monotonicity": (_suite_divergence_monotonicity, (3,), CLOSED_FORM_TOL, math.prod),
+    "entropy-bounds": (_suite_entropy_bounds, (4,), CLOSED_FORM_TOL, math.prod),
+    "additivity": (_suite_additivity, (2, 3), CLOSED_FORM_TOL, math.prod),
+    "isometric-invariance": (_suite_isometric_invariance, (3,), CLOSED_FORM_TOL,
+                             lambda dims: dims[0] + 2),
+    "entropy-duality": (_suite_entropy_duality, (3, 4), CLOSED_FORM_TOL, math.prod),
+    "conditional-duality": (_suite_conditional_duality, (2, 3, 2), OPTIMIZER_TOL, None),
+    "dpi": (_suite_dpi, (2, 3), OPTIMIZER_TOL, None),
+    "subadditivity": (_suite_subadditivity, (2, 3), CLOSED_FORM_TOL, math.prod),
+    "dimension-bounds": (_suite_dimension_bounds, (2, 2, 2), OPTIMIZER_TOL, None),
+    "fidelity-bounds": (_suite_fidelity_bounds, (2, 2), OPTIMIZER_TOL, None),
+    "cq-monotonicity": (_suite_cq_monotonicity, (2, 2, 2), OPTIMIZER_TOL, None),
+    "cmi-generalizations": (_suite_cmi_generalizations, (2, 2, 2), OPTIMIZER_TOL, None),
+    "fidelity-product": (_suite_fidelity_product, (2, 3), CLOSED_FORM_TOL, math.prod),
 }
+
+# a chunk of a closed-form suite holds as many trials as keep each operator
+# stack within this many matrix entries (6 trials at dimension 36, 167 at 7)
+_STACK_ENTRIES = 2**13
 
 SUITE_IDS = tuple(_SUITES)
 
@@ -459,19 +528,34 @@ def _check_trials(trials):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
 
 
-def _run_trials(report_id: str, checks, trials, seed: int, tol: float) -> SuiteReport:
-    """Run ``checks(rng, trial_seed)`` once per trial and collect every margin below -tol."""
+def _run_trials(report_id: str, checks, trials, seed: int, tol: float,
+                chunk: int = 1) -> SuiteReport:
+    """Run ``checks(rngs, trial_seeds)`` over chunks of at most ``chunk`` trials
+    and collect every margin below -tol.
+
+    Each trial gets its own generator, keyed by its trial seed, so a trial's
+    draws and margins do not depend on the chunk it falls in.  ``checks``
+    returns the (check, margin, values) rows of each trial of the chunk.
+    """
     _check_trials(trials)
-    start = time.time()
+    start = time.perf_counter()
     failures = []
     worst = 0.0
-    for trial in range(trials):
-        ts = _trial_seed(seed, trial)
-        for check, margin, values in checks(generator(ts), ts):
-            if margin < -tol:
-                failures.append(Failure(trial, ts, check, values, margin))
-                worst = max(worst, -margin)
-    return SuiteReport(report_id, trials, tuple(failures), worst, time.time() - start, tol)
+    for first in range(0, trials, chunk):
+        seeds = [_trial_seed(seed, t) for t in range(first, min(first + chunk, trials))]
+        rows = checks([generator(ts) for ts in seeds], seeds)
+        for trial, ts, trial_rows in zip(range(first, trials), seeds, rows):
+            for check, margin, values in trial_rows:
+                if margin < -tol:
+                    failures.append(Failure(trial, ts, check, values, margin))
+                    worst = max(worst, -margin)
+    return SuiteReport(report_id, trials, tuple(failures), worst,
+                       time.perf_counter() - start, tol)
+
+
+def _per_trial(body):
+    """A trial body ``body(rng, trial_seed)`` as the ``checks`` of ``_run_trials``."""
+    return lambda rngs, seeds: (body(rng, ts) for rng, ts in zip(rngs, seeds))
 
 
 def run_inequality_suite(
@@ -484,9 +568,12 @@ def run_inequality_suite(
     dims = suite_dims(suite_id, dims)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise UsageError(f"tol must be finite and >= 0, got {tol}")
-    fn, _, default_tol = _SUITES[suite_id]
+    fn, _, default_tol, op_dim = _SUITES[suite_id]
     tol = default_tol if tol is None else tol
-    return _run_trials(suite_id, lambda rng, _: fn(rng, dims), trials, seed, tol)
+    if op_dim is None:
+        return _run_trials(suite_id, _per_trial(lambda rng, _: fn(rng, dims)), trials, seed, tol)
+    chunk = max(1, _STACK_ENTRIES // op_dim(dims) ** 2)
+    return _run_trials(suite_id, lambda rngs, _: fn(rngs, dims), trials, seed, tol, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +593,12 @@ def brute_force_min_divergence(
     Draws ``budget`` Ginibre states, then refines around the incumbent
     with shrinking perturbations.  The result is an upper bound on the
     true minimum, used to validate the descent optimizer.
+
+    The search is sequential (a candidate replaces the incumbent when its
+    value is strictly lower), but its values are computed in stacks: the
+    whole net at once, and in each refinement round, whose draws come first,
+    all the candidates not yet tried, formed around the incumbent and formed
+    again after each acceptance.
     """
     from .entropies import _split_bipartite
 
@@ -515,27 +608,35 @@ def brute_force_min_divergence(
     rho_a = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3)
     factor = rho_a if mutual else np.eye(d_a)
 
-    def value(sigma):
-        return sandwiched_divergence_matrix(mat, np.kron(factor, sigma), alpha)
+    def values(sigmas):
+        return sandwiched_divergence_matrix(mat, _kron(factor, sigmas), alpha)
 
     rng = generator(seed)
     rho_b = np.trace(mat.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-    best_sigma, best = rho_b, value(rho_b)
-    for _ in range(budget):
-        s = random_state_matrix(rng, d_b)
-        v = value(s)
-        if v < best:
-            best, best_sigma = v, s
+    best_sigma, best = rho_b, values(rho_b)
+    if budget:
+        # the net's lowest value, at its first occurrence, if it beats the start
+        net = np.stack([random_state_matrix(rng, d_b) for _ in range(budget)])
+        vals = values(net)
+        i = int(np.argmin(np.where(np.isnan(vals), math.inf, vals)))
+        if vals[i] < best:
+            best, best_sigma = float(vals[i]), net[i]
     radius = 0.5
     for _ in range(12):
-        for _ in range(120):
-            g = ginibre(rng, d_b, d_b)
-            s = best_sigma + radius * (g @ g.conj().T) / d_b
-            s = (s + s.conj().T) / 2
-            s /= np.trace(s).real
-            v = value(s)
-            if v < best:
-                best, best_sigma = v, s
+        g = np.stack([ginibre(rng, d_b, d_b) for _ in range(120)])
+        bumps = radius * (g @ g.conj().swapaxes(1, 2)) / d_b
+        while len(bumps):
+            s = best_sigma + bumps
+            s = (s + s.conj().swapaxes(1, 2)) / 2
+            s /= np.trace(s, axis1=1, axis2=2).real[:, None, None]
+            vals = values(s)
+            below = np.flatnonzero(vals < best)
+            if not below.size:
+                break
+            # the first improvement; the later candidates are re-formed around it
+            j = int(below[0])
+            best, best_sigma = float(vals[j]), s[j]
+            bumps = bumps[j + 1:]
         radius *= 0.6
     return best
 
@@ -569,7 +670,7 @@ def falsify_bound_comparison(
         joint = random_probability_vector(rng, 4).reshape(2, 2)
         for a in alphas:
             b = alpha_params(a).beta
-            lhs = classical_renyi_entropy(joint, a) - classical_renyi_entropy(
+            lhs = classical_renyi_entropy(joint.reshape(-1), a) - classical_renyi_entropy(
                 joint.sum(axis=0), b
             )
             rhs = classical_conditional_entropy(joint, a)
@@ -661,7 +762,7 @@ def check_protocol_bounds(kind: str, trials: int, seed: int = 0, alphas=None) ->
             yield (f"{entry.bound_id}-a{entry.alpha:.4f}", entry.log2_merit_bound - log_merit,
                    {"merit": out.merit, "bound": entry.log2_merit_bound, "alpha": entry.alpha})
 
-    return _run_trials(f"protocol-{kind}", checks, trials, seed, SOUNDNESS_TOL)
+    return _run_trials(f"protocol-{kind}", _per_trial(checks), trials, seed, SOUNDNESS_TOL)
 
 
 def _random_instance(kind: str, rng, seed: int):

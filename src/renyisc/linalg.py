@@ -1,6 +1,15 @@
-"""Matrix functions, Schatten norms, fidelity, and purification."""
+"""Matrix functions, Schatten norms, fidelity, and purification.
+
+``spectrum``, ``schatten_norm`` and ``fidelity_matrix`` take one matrix or a
+stack (..., d, d) and work matrix by matrix, so a caller with many small
+operators (the inequality suites, over a chunk of trials) decomposes them
+in one call; a single matrix is the one-matrix case of the same code.  The
+PSD check, the support and the fidelity cap are always per matrix.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,35 +26,69 @@ SUPPORT_TOL = 1e-9
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + _dagger(m)) / 2
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _scalar(x):
+    """A 0-d result as a plain float; a stacked one as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _entrywise(fn, x) -> np.ndarray:
+    """``fn`` of every entry of ``x`` as a Python float.
+
+    The last scalar step of a stacked value goes through here, so that it is
+    rounded as in a one-matrix call (numpy's vector loops for log and pow can
+    differ from the scalar ones in the last bit).
+    """
+    x = np.asarray(x, dtype=float)
+    return np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
+
+
+def _orders(orders) -> tuple[np.ndarray, bool]:
+    """(1-d float array of the orders, whether one order was given alone)."""
+    alone = np.ndim(orders) == 0
+    return np.atleast_1d(np.asarray(orders, dtype=float)), alone
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b as a broadcast outer product; cheaper per call than np.kron."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """a (x) b, matrix by matrix over any leading stack axes, as a broadcast
+    outer product; cheaper per call than np.kron."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
 def spectrum(m: np.ndarray, vectors: bool = True):
-    """(vals, vecs, support) of a Hermitian PSD matrix.
+    """(vals, vecs, support) of a Hermitian PSD matrix, or of each matrix of a
+    stack (..., d, d).
 
     ``vals`` ascend and are clipped at 0; ``vecs`` is None unless
     ``vectors``; ``support`` marks the eigenvalues above ``CLIP_REL`` times
-    the largest.  Raises NotPositiveSemidefiniteError on an eigenvalue below
-    ``-PSD_REL * max(top, 1)``.
+    the largest of the same matrix.  Raises NotPositiveSemidefiniteError when
+    any matrix has an eigenvalue below ``-PSD_REL * max(top, 1)``.
     """
     m = _herm(np.asarray(m, dtype=complex))
     if vectors:
         vals, vecs = np.linalg.eigh(m)
     else:
         vals, vecs = np.linalg.eigvalsh(m), None
-    top = max(vals[-1], 0.0)
-    if vals[0] < -PSD_REL * max(top, 1.0):
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {vals[0]} below PSD tolerance"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return vals, vecs, vals > CLIP_REL * top
+    # -PSD_REL is the loosest threshold a matrix can have, so the per-matrix
+    # test runs only when some eigenvalue is below it
+    if vals.min(initial=0.0) < -PSD_REL:
+        low = vals[..., 0]
+        bad = low < -PSD_REL * np.maximum(vals[..., -1], 1.0)
+        if bad.any():
+            raise NotPositiveSemidefiniteError(
+                f"eigenvalue {low[bad][0]} below PSD tolerance"
+            )
+    vals = np.maximum(vals, 0.0)
+    return vals, vecs, vals > CLIP_REL * vals[..., -1:]
 
 
 def spectral_power(spec, p: float) -> np.ndarray:
@@ -53,7 +96,7 @@ def spectral_power(spec, p: float) -> np.ndarray:
     vals, vecs, support = spec
     powered = np.zeros_like(vals)
     np.power(vals, p, out=powered, where=support)
-    return (vecs * powered) @ vecs.conj().T
+    return (vecs * powered[..., None, :]) @ _dagger(vecs)
 
 
 def fractional_power_matrix(m: np.ndarray, p: float) -> np.ndarray:
@@ -64,33 +107,45 @@ def fractional_power_matrix(m: np.ndarray, p: float) -> np.ndarray:
     return spectral_power(spectrum(m), p)
 
 
-def schatten_norm(m, p: float) -> float:
+def schatten_norm(m, p):
     """Schatten p-(quasi)norm, (sum of singular values**p)**(1/p).
 
-    Accepts a LabeledOperator or a raw matrix; p = inf gives the operator
-    norm.
+    Accepts a LabeledOperator, a raw matrix or a stack (..., d, d); p = inf
+    gives the operator norm.  ``p`` may be a tuple of orders, read from one
+    SVD per matrix: the result then has a last axis over them.  A single
+    matrix at a single order gives a float.
     """
     if isinstance(m, LabeledOperator):
         m = m.matrix
+    ps, alone = _orders(p)
+    for order in ps:
+        if not order > 0:
+            raise UsageError(f"Schatten norm requires p > 0, got {order}")
     m = np.asarray(m, dtype=complex)
     s = np.linalg.svd(m, compute_uv=False)
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    if not p > 0:
-        raise UsageError(f"Schatten norm requires p > 0, got {p}")
-    return float(np.sum(s**p) ** (1.0 / p))
+    out = np.empty(s.shape[:-1] + ps.shape)
+    for j, order in enumerate(ps.tolist()):
+        if order == math.inf:
+            out[..., j] = s[..., 0] if s.shape[-1] else 0.0
+        else:
+            out[..., j] = _entrywise(lambda t: t ** (1.0 / order), np.sum(s**order, axis=-1))
+    return _scalar(out[..., 0]) if alone else out
 
 
 def trace_norm(m) -> float:
     return schatten_norm(m, 1)
 
 
-def fidelity_matrix(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1."""
+def fidelity_matrix(rho: np.ndarray, sigma: np.ndarray):
+    """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, capped at 1 + 1e-9.
+
+    ``rho`` and ``sigma`` may be stacks that broadcast against each other;
+    each is decomposed once whatever it is paired with.
+    """
     sr = fractional_power_matrix(rho, 0.5)
     ss = fractional_power_matrix(sigma, 0.5)
     s = np.linalg.svd(sr @ ss, compute_uv=False)
-    return float(min(np.sum(s), 1.0 + 1e-9))
+    return _scalar(np.minimum(np.sum(s, axis=-1), 1.0 + 1e-9))
 
 
 def fidelity(rho: LabeledOperator, sigma: LabeledOperator) -> float:

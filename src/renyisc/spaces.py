@@ -189,16 +189,28 @@ def partial_trace(op: LabeledOperator, keep) -> LabeledOperator:
     unknown = keep - set(space.labels)
     if unknown:
         raise UsageError(f"unknown labels {sorted(unknown)} in {space.labels}")
-    n = len(space.subsystems)
-    dims = space.dims
     keep_idx = [i for i, l in enumerate(space.labels) if l in keep]
-    t = op.matrix.reshape(dims + dims)
+    return LabeledOperator.square(space.restrict(keep),
+                                  partial_trace_matrix(op.matrix, space.dims, keep_idx))
+
+
+def partial_trace_matrix(m: np.ndarray, dims, keep_idx) -> np.ndarray:
+    """Trace out every subsystem of ``dims`` whose position is not in ``keep_idx``.
+
+    ``m`` is one matrix on the composite space of ``dims`` or a stack
+    (..., D, D) of them; the kept subsystems stay in their order.
+    """
+    dims = tuple(dims)
+    n = len(dims)
+    keep_idx = sorted(keep_idx)
+    m = np.asarray(m)
+    t = m.reshape(m.shape[:-2] + dims + dims)
     subs_out = list(range(n))
     subs_in = [i if i not in keep_idx else n + i for i in range(n)]
     out_subs = keep_idx + [n + i for i in keep_idx]
-    reduced = np.einsum(t, subs_out + subs_in, out_subs)
-    new_space = space.restrict(keep)
-    return LabeledOperator.square(new_space, reduced.reshape(new_space.dim, new_space.dim))
+    reduced = np.einsum(t, [Ellipsis] + subs_out + subs_in, [Ellipsis] + out_subs)
+    d = math.prod(dims[i] for i in keep_idx)
+    return reduced.reshape(m.shape[:-2] + (d, d))
 
 
 def permute_systems(op: LabeledOperator, order) -> LabeledOperator:

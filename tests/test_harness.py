@@ -1,11 +1,19 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import renyisc.bounds
-from renyisc.entropies import OptimizerConfig, conditional_entropy, mutual_information
+from renyisc import harness
+from renyisc.entropies import (
+    OptimizerConfig,
+    _split_bipartite,
+    conditional_entropy,
+    mutual_information,
+    sandwiched_divergence_matrix,
+)
 from renyisc.errors import UsageError
 from renyisc.harness import (
     SUITE_IDS,
@@ -16,7 +24,7 @@ from renyisc.harness import (
     run_inequality_suite,
     verify_counterexample,
 )
-from renyisc.random_ensembles import random_state
+from renyisc.random_ensembles import generator, ginibre, random_state, random_state_matrix
 from renyisc.spaces import SystemSpace
 
 
@@ -178,3 +186,152 @@ def test_protocol_check_reports_violations(kind, monkeypatch):
     replay = check_protocol_bounds(kind, 3, seed=3, alphas=alphas)
     assert replay.failures == rep.failures
     assert replay.max_violation == rep.max_violation
+
+
+# ---------------------------------------------------------------------------
+# closed-form suites over chunks of trials
+
+CLOSED_FORM = {
+    "holder": (36,),
+    "mccarthy": (36,),
+    "divergence-monotonicity": (36,),
+    "entropy-bounds": (36,),
+    "additivity": (6, 6),
+    "isometric-invariance": (36,),
+    "entropy-duality": (6, 6),
+    "subadditivity": (6, 6),
+    "fidelity-product": (6, 6),
+}
+
+
+def _margins(monkeypatch, suite, trials, dims, seed, tol=None):
+    """Every (trial, check, margin, values) of a run, through the real trial loop."""
+    body, default, suite_tol, op_dim = harness._SUITES[suite]
+    rows = []
+
+    def recording(rngs, d):
+        out = body(rngs, d)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setitem(harness._SUITES, suite, (recording, default, suite_tol, op_dim))
+    report = run_inequality_suite(suite, trials, dims=dims, seed=seed, tol=tol)
+    monkeypatch.setitem(harness._SUITES, suite, (body, default, suite_tol, op_dim))
+    assert len(rows) == trials
+    return report, rows
+
+
+def _alone(suite, dims, seed, trial):
+    body = harness._SUITES[suite][0]
+    return body([generator(_trial_seed(seed, trial))], dims)[0]
+
+
+def _assert_same_rows(a, b, atol):
+    assert [r[0] for r in a] == [r[0] for r in b]
+    for (_, m1, v1), (_, m2, v2) in zip(a, b):
+        assert abs(m1 - m2) <= atol
+        assert v1.keys() == v2.keys()
+        assert all(abs(v1[k] - v2[k]) <= atol or v1[k] == v2[k] for k in v1)
+
+
+@pytest.mark.parametrize("size", ["default", "large"])
+@pytest.mark.parametrize("suite", sorted(CLOSED_FORM))
+def test_chunked_margins_equal_each_trial_alone(suite, size, monkeypatch):
+    dims = harness.suite_dims(suite) if size == "default" else CLOSED_FORM[suite]
+    _, rows = _margins(monkeypatch, suite, 25, dims, seed=13)
+    for trial, trial_rows in enumerate(rows):
+        _assert_same_rows(trial_rows, _alone(suite, dims, 13, trial), atol=1e-12)
+        for _, margin, values in trial_rows:
+            assert type(margin) is float
+            assert all(type(v) is float for v in values.values())
+
+
+@pytest.mark.parametrize("size", ["default", "large"])
+@pytest.mark.parametrize("suite", sorted(CLOSED_FORM))
+def test_chunk_boundaries_change_no_margin(suite, size, monkeypatch):
+    dims = harness.suite_dims(suite) if size == "default" else CLOSED_FORM[suite]
+    _, whole = _margins(monkeypatch, suite, 25, dims, seed=14)
+    # a cap that gives chunks of 4 trials, so 25 trials cross six boundaries
+    op_dim = harness._SUITES[suite][3](dims)
+    monkeypatch.setattr(harness, "_STACK_ENTRIES", 4 * op_dim**2)
+    _, split = _margins(monkeypatch, suite, 25, dims, seed=14)
+    for a, b in zip(whole, split):
+        _assert_same_rows(a, b, atol=1e-12)
+
+
+def test_chunk_holds_at_most_the_stack_cap(monkeypatch):
+    sizes = []
+    body, default, tol, op_dim = harness._SUITES["isometric-invariance"]
+
+    def recording(rngs, dims):
+        sizes.append(len(rngs))
+        return body(rngs, dims)
+
+    monkeypatch.setitem(harness._SUITES, "isometric-invariance", (recording, default, tol, op_dim))
+    run_inequality_suite("isometric-invariance", 12, dims=(36,), seed=1)
+    # 38 x 38 operators: 5 trials hold 7,220 entries, within 2**13
+    assert sizes == [5, 5, 2]
+    assert harness._STACK_ENTRIES == 2**13
+
+
+@pytest.mark.parametrize("suite, dims", [("additivity", (6, 6)), ("entropy-duality", (3, 4)),
+                                         ("isometric-invariance", (36,)),
+                                         ("entropy-bounds", (4,))])
+def test_failure_replays_from_suite_seed_and_trial(suite, dims):
+    # at tol = 0 every equality check with a nonzero rounding defect fails
+    report = run_inequality_suite(suite, 13, dims=dims, seed=21, tol=0.0)
+    assert report.failures
+    assert report.max_violation == max(-f.slack for f in report.failures)
+    order = [(f.trial, f.check) for f in report.failures]
+    names = {t: [r[0] for r in _alone(suite, dims, 21, t)] for t, _ in order}
+    assert order == sorted(order, key=lambda tc: (tc[0], names[tc[0]].index(tc[1])))
+    for f in report.failures:
+        assert f.seed == _trial_seed(21, f.trial)
+        replay = {r[0]: r for r in _alone(suite, dims, 21, f.trial)}
+        _, margin, values = replay[f.check]
+        assert margin == f.slack
+        assert values == f.values
+        assert type(f.slack) is float
+
+
+def test_suite_runtime_is_measured():
+    assert run_inequality_suite("holder", 3, seed=1).runtime > 0.0
+
+
+def _sequential_oracle(rho, alpha, budget, seed, mutual):
+    """The oracle's search, one candidate at a time."""
+    mat, d_a, d_b, _ = _split_bipartite(rho, ["B"])
+    t = mat.reshape(d_a, d_b, d_a, d_b)
+    factor = np.trace(t, axis1=1, axis2=3) if mutual else np.eye(d_a)
+
+    def value(sigma):
+        return sandwiched_divergence_matrix(mat, np.kron(factor, sigma), alpha)
+
+    rng = generator(seed)
+    best_sigma = np.trace(t, axis1=0, axis2=2)
+    best = value(best_sigma)
+    for _ in range(budget):
+        s = random_state_matrix(rng, d_b)
+        v = value(s)
+        if v < best:
+            best, best_sigma = v, s
+    radius = 0.5
+    for _ in range(12):
+        for _ in range(120):
+            g = ginibre(rng, d_b, d_b)
+            s = best_sigma + radius * (g @ g.conj().T) / d_b
+            s = (s + s.conj().T) / 2
+            s /= np.trace(s).real
+            v = value(s)
+            if v < best:
+                best, best_sigma = v, s
+        radius *= 0.6
+    return best
+
+
+@pytest.mark.parametrize("alpha, mutual, shape", [(0.6, False, (2, 2)), (2.0, True, (2, 2)),
+                                                  (1.0, False, (2, 3)), (1.5, True, (3, 2))])
+def test_batched_oracle_matches_the_sequential_search(alpha, mutual, shape):
+    rho = random_state(SystemSpace.of(("A", shape[0]), ("B", shape[1])), seed=40)
+    got = brute_force_min_divergence(rho, ["B"], alpha, budget=150, seed=3, mutual=mutual)
+    assert abs(got - _sequential_oracle(rho, alpha, 150, 3, mutual)) <= 1e-12
